@@ -3,15 +3,18 @@
  * Scaling microbenchmark for the parallel hot paths: gemm, im2col,
  * binarize, CSR encode/decode, DPR encode/decode. For each path it
  * measures throughput at 1 thread and at the requested pool size,
- * reports GB/s and the speedup, and verifies that the multi-threaded
- * output is bitwise-identical to the single-threaded one (the
- * determinism contract of util/parallel.hpp).
+ * reports the rate (GB/s; GFLOP/s for the GEMM rows) and the speedup,
+ * and verifies that the multi-threaded output is bitwise-identical to
+ * the single-threaded one (the determinism contract of
+ * util/parallel.hpp).
  *
  * Usage: micro_parallel [threads] [--json <path>]
  *   threads   pool size for the "parallel" arm (default: auto — the
  *             GIST_THREADS env, then hardware concurrency)
  *   --json    append one JSON object per path to <path> so scripts/
- *             can track the scaling trajectory across PRs.
+ *             can track the scaling trajectory across PRs. The rate
+ *             keeps the historical "gbps" key for every row, GEMM
+ *             rows included, so the trajectory stays comparable.
  */
 
 #include <algorithm>
@@ -81,13 +84,14 @@ timeIt(const std::function<void()> &fn)
 struct PathResult
 {
     std::string name;
-    double bytes_moved;  ///< per call, for GB/s
+    double work = 0.0;  ///< per call: bytes (GB/s) or flops (GFLOP/s)
+    const char *unit = "GB/s";
     double serial_s = 0.0;
     double parallel_s = 0.0;
     bool bitwise_identical = true;
 
     double speedup() const { return serial_s / parallel_s; }
-    double gbps(double s) const { return bytes_moved / s / 1e9; }
+    double rate(double s) const { return work / s / 1e9; }
 };
 
 std::vector<PathResult> g_results;
@@ -97,12 +101,14 @@ std::vector<PathResult> g_results;
  * path's output into `out`; outputs from the two arms are memcmp'd.
  */
 void
-runPath(const std::string &name, int par_threads, double bytes_moved,
-        size_t out_bytes, const std::function<void(void *)> &run)
+runPath(const std::string &name, int par_threads, double work,
+        size_t out_bytes, const std::function<void(void *)> &run,
+        const char *unit = "GB/s")
 {
     PathResult res;
     res.name = name;
-    res.bytes_moved = bytes_moved;
+    res.work = work;
+    res.unit = unit;
 
     std::vector<unsigned char> out_serial(out_bytes);
     std::vector<unsigned char> out_parallel(out_bytes);
@@ -118,9 +124,9 @@ runPath(const std::string &name, int par_threads, double bytes_moved,
         std::memcmp(out_serial.data(), out_parallel.data(), out_bytes) ==
             0;
 
-    std::printf("%-24s %8.2f ms -> %8.2f ms   %5.2fx   %6.2f GB/s   %s\n",
+    std::printf("%-24s %8.2f ms -> %8.2f ms   %5.2fx   %6.2f %-7s  %s\n",
                 name.c_str(), res.serial_s * 1e3, res.parallel_s * 1e3,
-                res.speedup(), res.gbps(res.parallel_s),
+                res.speedup(), res.rate(res.parallel_s), unit,
                 res.bitwise_identical ? "bitwise-ok" : "MISMATCH");
     g_results.push_back(res);
 }
@@ -173,20 +179,33 @@ main(int argc, char **argv)
     std::printf("%-24s %11s    %11s   %6s   %10s\n", "path", "1-thread",
                 "N-thread", "spdup", "parallel");
 
-    // --- gemm (m = n = k = 512, the acceptance-criteria shape) ---
+    // --- gemm: m = n = k = 512, then the tiny VGG16 conv6 per-image
+    //     forward (48 x 16 x 432) and dX (432 x 16 x 48) shapes the
+    //     training step runs ---
     {
-        const std::int64_t m = 512, n = 512, k = 512;
-        const auto a = randomDense(m * k, 1);
-        const auto b = randomDense(k * n, 2);
-        const double flops_bytes =
-            2.0 * static_cast<double>(m) * n * k / 4.0 * sizeof(float);
-        runPath("gemm_512", par, flops_bytes,
-                static_cast<size_t>(m * n) * sizeof(float),
-                [&](void *out) {
-                    gist::gemm(false, false, m, n, k, 1.0f, a.data(),
-                               b.data(), 0.0f,
-                               static_cast<float *>(out));
-                });
+        struct GemmShape
+        {
+            const char *name;
+            bool trans_a;
+            std::int64_t m, n, k;
+        };
+        const GemmShape shapes[] = {
+            { "gemm_512", false, 512, 512, 512 },
+            { "gemm_conv_fwd", false, 48, 16, 432 },
+            { "gemm_conv_dx", true, 432, 16, 48 },
+        };
+        for (const GemmShape &g : shapes) {
+            const auto a = randomDense(g.m * g.k, 1);
+            const auto b = randomDense(g.k * g.n, 2);
+            runPath(g.name, par, 2.0 * static_cast<double>(g.m) * g.n * g.k,
+                    static_cast<size_t>(g.m * g.n) * sizeof(float),
+                    [&](void *out) {
+                        gist::gemm(g.trans_a, false, g.m, g.n, g.k, 1.0f,
+                                   a.data(), b.data(), 0.0f,
+                                   static_cast<float *>(out));
+                    },
+                    "GFLOP/s");
+        }
     }
 
     // --- im2col (VGG-ish 3x3 conv geometry) ---
@@ -398,7 +417,7 @@ main(int argc, char **argv)
                     "\"parallel_ms\": %.4f, \"speedup\": %.3f, "
                     "\"gbps\": %.3f, \"bitwise_identical\": %s}%s\n",
                     r.name.c_str(), r.serial_s * 1e3, r.parallel_s * 1e3,
-                    r.speedup(), r.gbps(r.parallel_s),
+                    r.speedup(), r.rate(r.parallel_s),
                     r.bitwise_identical ? "true" : "false",
                     i + 1 < g_results.size() ? "," : "");
             }

@@ -2,11 +2,12 @@
  * @file
  * SIMD backend microbenchmark: times each dispatched kernel once with
  * the scalar reference backend and once with the best ISA this machine
- * offers, reports GB/s for both plus the speedup, and memcmp-verifies
- * that the integer codec kernels produced byte-identical output (the
- * cross-backend bitwise contract; axpy/dot are float kernels and are
- * exempt). Runs single-threaded so the ratio isolates the ISA effect
- * from thread scaling (micro_parallel covers the latter).
+ * offers, reports GB/s (GFLOP/s for gemm_micro) for both plus the
+ * speedup, and memcmp-verifies that the integer codec kernels produced
+ * byte-identical output (the cross-backend bitwise contract; the GEMM
+ * kernels are float kernels and are exempt). Runs single-threaded so
+ * the ratio isolates the ISA effect from thread scaling (micro_parallel
+ * covers the latter).
  *
  * Usage: micro_simd [--json <path>]
  *   --json    write one JSON object with per-kernel rows, consumed by
@@ -72,10 +73,12 @@ std::vector<KernelResult> g_results;
  * Benchmark one kernel on both backends. run(ops, out) executes the
  * kernel through the given table writing its result into out;
  * out_bytes > 0 requests a byte-compare between the two backends.
+ * @p work is the bytes (or, with unit "GFLOP/s", flops) one call does.
  */
 void
-runKernel(const std::string &name, double bytes_moved, size_t out_bytes,
-          const std::function<void(const SimdOps &, void *)> &run)
+runKernel(const std::string &name, double work, size_t out_bytes,
+          const std::function<void(const SimdOps &, void *)> &run,
+          const char *unit = "GB/s")
 {
     const SimdOps &scalar = opsFor(Backend::Scalar);
     const SimdOps &best = opsFor(bestBackend());
@@ -88,14 +91,14 @@ runKernel(const std::string &name, double bytes_moved, size_t out_bytes,
     const double s_scalar =
         timeIt([&] { run(scalar, out_scalar.data()); });
     const double s_simd = timeIt([&] { run(best, out_simd.data()); });
-    res.scalar_gbps = bytes_moved / s_scalar / 1e9;
-    res.simd_gbps = bytes_moved / s_simd / 1e9;
+    res.scalar_gbps = work / s_scalar / 1e9;
+    res.simd_gbps = work / s_simd / 1e9;
     res.bitwise_identical =
         out_bytes == 0 ||
         std::memcmp(out_scalar.data(), out_simd.data(), out_bytes) == 0;
 
-    std::printf("%-20s %8.2f GB/s  %8.2f GB/s   %5.2fx   %s\n",
-                name.c_str(), res.scalar_gbps, res.simd_gbps,
+    std::printf("%-20s %8.2f %-7s %8.2f %-7s %5.2fx   %s\n",
+                name.c_str(), res.scalar_gbps, unit, res.simd_gbps, unit,
                 res.speedup(),
                 out_bytes == 0 ? "float"
                 : res.bitwise_identical ? "bitwise-ok"
@@ -273,23 +276,27 @@ main(int argc, char **argv)
         }
     }
 
-    // --- GEMM micro-kernels (float: no bitwise contract) ---
+    // --- GEMM register microkernel (float: no bitwise contract): one
+    //     L1-resident KC = 128 panel/strip pair, accumulated into a
+    //     full MR x NR tile; the rate is GFLOP/s. ---
     {
-        const std::int64_t kv = 1 << 12; // L1-resident vectors
-        std::vector<float> x(src.begin(), src.begin() + kv);
-        std::vector<float> y(src.begin() + kv, src.begin() + 2 * kv);
-        runKernel("gemm_axpy",
-                  static_cast<double>(kv) * sizeof(float) * 3, 0,
+        const std::int64_t kc = 128;
+        const int calls = 64;
+        std::vector<float> a(src.begin(),
+                             src.begin() + kc * kGemmMR);
+        std::vector<float> b(src.begin(),
+                             src.begin() + kc * kGemmNR);
+        std::vector<float> c(
+            static_cast<size_t>(kGemmMR * kGemmNR));
+        runKernel("gemm_micro",
+                  2.0 * calls * kc * kGemmMR * kGemmNR, 0,
                   [&](const SimdOps &o, void *) {
-                      o.axpy(kv, 1.0001f, x.data(), y.data());
-                  });
-        runKernel("gemm_dot",
-                  static_cast<double>(kv) * sizeof(float) * 2, 0,
-                  [&](const SimdOps &o, void *) {
-                      volatile float sink =
-                          o.dot(kv, x.data(), y.data());
-                      (void)sink;
-                  });
+                      for (int r = 0; r < calls; ++r)
+                          o.gemmMicro(kc, a.data(), b.data(), c.data(),
+                                      kGemmNR, kGemmMR,
+                                      kGemmNR, true);
+                  },
+                  "GFLOP/s");
     }
 
     bool all_ok = true;

@@ -16,8 +16,8 @@
  * available, else the best ISA the CPU reports (probed via
  * __builtin_cpu_supports on x86). setBackend() overrides at runtime
  * (bench/tests). The integer codec kernels are bitwise-identical across
- * backends by construction; the float GEMM kernels (axpy/dot) may round
- * differently (FMA, wider accumulator trees) and are only required to be
+ * backends by construction; the float GEMM kernels (axpy, gemmMicro) may
+ * round differently (FMA contraction) and are only required to be
  * deterministic within a backend.
  *
  * Every function pointer operates on a caller-chunked range, so
@@ -40,6 +40,11 @@ namespace gist::simd {
 
 enum class Backend { Scalar = 0, Sse2 = 1, Avx2 = 2 };
 inline constexpr int kNumBackends = 3;
+
+/** Microkernel tile: rows of a packed A panel, columns of a B strip.
+ *  Shared by every backend, so all of them use one pack layout. */
+inline constexpr std::int64_t kGemmMR = 6;
+inline constexpr std::int64_t kGemmNR = 16;
 
 /** One backend's kernel table. */
 struct SimdOps
@@ -92,8 +97,20 @@ struct SimdOps
 
     /** y[i] += a * x[i]; backend-deterministic, not cross-backend exact. */
     void (*axpy)(std::int64_t n, float a, const float *x, float *y);
-    /** sum(x[i] * y[i]); backend-deterministic reduction order. */
-    float (*dot)(std::int64_t n, const float *x, const float *y);
+
+    /**
+     * GEMM register microkernel: the top-left mr x nr corner (mr <=
+     * kGemmMR, nr <= kGemmNR) of one kGemmMR x kGemmNR C tile (row
+     * stride ldc) gets the product of a packed A panel (a[p * kGemmMR +
+     * i]) and a packed B strip (b[p * kGemmNR + j]) over p in [0, kc).
+     * Each element is one chain c = c + a * b over p ascending, started
+     * from C when @p accumulate, else from +0 (C is then never read).
+     * Panel rows >= mr and strip columns >= nr are read but never
+     * stored. Backend-deterministic, not cross-backend exact (FMA).
+     */
+    void (*gemmMicro)(std::int64_t kc, const float *a, const float *b,
+                      float *c, std::int64_t ldc, std::int64_t mr,
+                      std::int64_t nr, bool accumulate);
 };
 
 /** The active kernel table (resolves backend on first call). */

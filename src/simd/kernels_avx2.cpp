@@ -421,38 +421,87 @@ axpyAvx2(std::int64_t n, float a, const float *x, float *y)
         y[j] += a * x[j];
 }
 
-float
-dotAvx2(std::int64_t n, const float *x, const float *y)
+/** Full 6 x 16 tile: twelve named ymm accumulators (an array of them
+ *  gets spilled to the stack every iteration), two B loads and six A
+ *  broadcasts per p. */
+inline void
+gemmTile6x16(std::int64_t kc, const float *a, const float *b, float *c,
+             std::int64_t ldc, bool accumulate)
 {
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps();
-    __m256 acc3 = _mm256_setzero_ps();
-    std::int64_t p = 0;
-    for (; p + 32 <= n; p += 32) {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p),
-                               _mm256_loadu_ps(y + p), acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p + 8),
-                               _mm256_loadu_ps(y + p + 8), acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p + 16),
-                               _mm256_loadu_ps(y + p + 16), acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p + 24),
-                               _mm256_loadu_ps(y + p + 24), acc3);
+    static_assert(kGemmMR == 6 && kGemmNR == 16, "kernel is 6 x 16");
+    __m256 c00 = _mm256_setzero_ps(), c01 = c00, c10 = c00, c11 = c00,
+           c20 = c00, c21 = c00, c30 = c00, c31 = c00, c40 = c00,
+           c41 = c00, c50 = c00, c51 = c00;
+    if (accumulate) {
+        c00 = _mm256_loadu_ps(c);
+        c01 = _mm256_loadu_ps(c + 8);
+        c10 = _mm256_loadu_ps(c + ldc);
+        c11 = _mm256_loadu_ps(c + ldc + 8);
+        c20 = _mm256_loadu_ps(c + 2 * ldc);
+        c21 = _mm256_loadu_ps(c + 2 * ldc + 8);
+        c30 = _mm256_loadu_ps(c + 3 * ldc);
+        c31 = _mm256_loadu_ps(c + 3 * ldc + 8);
+        c40 = _mm256_loadu_ps(c + 4 * ldc);
+        c41 = _mm256_loadu_ps(c + 4 * ldc + 8);
+        c50 = _mm256_loadu_ps(c + 5 * ldc);
+        c51 = _mm256_loadu_ps(c + 5 * ldc + 8);
     }
-    for (; p + 8 <= n; p += 8)
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p),
-                               _mm256_loadu_ps(y + p), acc0);
-    const __m256 acc = _mm256_add_ps(_mm256_add_ps(acc0, acc1),
-                                     _mm256_add_ps(acc2, acc3));
-    const __m128 lo = _mm256_castps256_ps128(acc);
-    const __m128 hi = _mm256_extractf128_ps(acc, 1);
-    __m128 s = _mm_add_ps(lo, hi);
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-    float sum = _mm_cvtss_f32(s);
-    for (; p < n; ++p)
-        sum += x[p] * y[p];
-    return sum;
+    for (std::int64_t p = 0; p < kc; ++p, a += kGemmMR, b += kGemmNR) {
+        const __m256 b0 = _mm256_loadu_ps(b);
+        const __m256 b1 = _mm256_loadu_ps(b + 8);
+        __m256 av = _mm256_broadcast_ss(a);
+        c00 = _mm256_fmadd_ps(av, b0, c00);
+        c01 = _mm256_fmadd_ps(av, b1, c01);
+        av = _mm256_broadcast_ss(a + 1);
+        c10 = _mm256_fmadd_ps(av, b0, c10);
+        c11 = _mm256_fmadd_ps(av, b1, c11);
+        av = _mm256_broadcast_ss(a + 2);
+        c20 = _mm256_fmadd_ps(av, b0, c20);
+        c21 = _mm256_fmadd_ps(av, b1, c21);
+        av = _mm256_broadcast_ss(a + 3);
+        c30 = _mm256_fmadd_ps(av, b0, c30);
+        c31 = _mm256_fmadd_ps(av, b1, c31);
+        av = _mm256_broadcast_ss(a + 4);
+        c40 = _mm256_fmadd_ps(av, b0, c40);
+        c41 = _mm256_fmadd_ps(av, b1, c41);
+        av = _mm256_broadcast_ss(a + 5);
+        c50 = _mm256_fmadd_ps(av, b0, c50);
+        c51 = _mm256_fmadd_ps(av, b1, c51);
+    }
+    _mm256_storeu_ps(c, c00);
+    _mm256_storeu_ps(c + 8, c01);
+    _mm256_storeu_ps(c + ldc, c10);
+    _mm256_storeu_ps(c + ldc + 8, c11);
+    _mm256_storeu_ps(c + 2 * ldc, c20);
+    _mm256_storeu_ps(c + 2 * ldc + 8, c21);
+    _mm256_storeu_ps(c + 3 * ldc, c30);
+    _mm256_storeu_ps(c + 3 * ldc + 8, c31);
+    _mm256_storeu_ps(c + 4 * ldc, c40);
+    _mm256_storeu_ps(c + 4 * ldc + 8, c41);
+    _mm256_storeu_ps(c + 5 * ldc, c50);
+    _mm256_storeu_ps(c + 5 * ldc + 8, c51);
+}
+
+void
+gemmMicroAvx2(std::int64_t kc, const float *a, const float *b, float *c,
+              std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+              bool accumulate)
+{
+    if (mr == kGemmMR && nr == kGemmNR) {
+        gemmTile6x16(kc, a, b, c, ldc, accumulate);
+        return;
+    }
+    // Edge tile: run the full kernel on a bounce buffer so every
+    // element sees the same FMA chain as in a full tile.
+    alignas(32) float tile[kGemmMR * kGemmNR] = {};
+    if (accumulate)
+        for (std::int64_t i = 0; i < mr; ++i)
+            std::memcpy(tile + i * kGemmNR, c + i * ldc,
+                        static_cast<size_t>(nr) * sizeof(float));
+    gemmTile6x16(kc, a, b, tile, kGemmNR, accumulate);
+    for (std::int64_t i = 0; i < mr; ++i)
+        std::memcpy(c + i * ldc, tile + i * kGemmNR,
+                    static_cast<size_t>(nr) * sizeof(float));
 }
 
 } // namespace
@@ -476,7 +525,7 @@ avx2Ops()
         { sfEncodeCodesAvx2<kSfFp16>, sfEncodeCodesAvx2<kSfFp10>,
           sfEncodeCodesAvx2<kSfFp8> },
         axpyAvx2,
-        dotAvx2,
+        gemmMicroAvx2,
     };
     return ops;
 }

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 
+#include "simd/dispatch.hpp"
 #include "simd/sf_codes.hpp"
 
 namespace gist::simd {
@@ -137,10 +138,10 @@ sfEncodeCodes(const float *src, std::int64_t n, std::uint32_t *codes)
     sfEncodeCodesLoop<IDX>(kSfLayouts[IDX], src, n, codes);
 }
 
-/* The float GEMM microkernels are NOT pinned unvectorized: the scalar
+/* The float GEMM kernels are NOT pinned unvectorized: the scalar
  * backend only has to be the bitwise reference for the integer codecs,
- * and letting the compiler vectorize axpy/dot keeps GIST_SIMD=scalar
- * from regressing GEMM against the pre-dispatch code. */
+ * and letting the compiler vectorize axpy/gemmMicro keeps
+ * GIST_SIMD=scalar from regressing GEMM against the pre-dispatch code. */
 
 inline void
 axpy(std::int64_t n, float a, const float *x, float *y)
@@ -149,22 +150,30 @@ axpy(std::int64_t n, float a, const float *x, float *y)
         y[j] += a * x[j];
 }
 
-inline float
-dot(std::int64_t n, const float *x, const float *y)
+/** SimdOps::gemmMicro one C row at a time: a kGemmNR-float accumulator
+ *  fits the vector registers of any x86 tier (a whole MR x NR tile
+ *  spills under SSE), at the price of re-reading the L1-resident B
+ *  strip per row. */
+inline void
+gemmMicro(std::int64_t kc, const float *a, const float *b, float *c,
+          std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+          bool accumulate)
 {
-    // Four-lane accumulator split: exposes vector lanes and fixes the
-    // reduction order so results are deterministic per backend.
-    float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-    std::int64_t p = 0;
-    for (; p + 4 <= n; p += 4) {
-        acc0 += x[p] * y[p];
-        acc1 += x[p + 1] * y[p + 1];
-        acc2 += x[p + 2] * y[p + 2];
-        acc3 += x[p + 3] * y[p + 3];
+    for (std::int64_t i = 0; i < mr; ++i) {
+        float acc[kGemmNR] = {};
+        float *c_row = c + i * ldc;
+        if (accumulate)
+            for (std::int64_t j = 0; j < nr; ++j)
+                acc[j] = c_row[j];
+        for (std::int64_t p = 0; p < kc; ++p) {
+            const float av = a[p * kGemmMR + i];
+            const float *b_row = b + p * kGemmNR;
+            for (std::int64_t j = 0; j < kGemmNR; ++j)
+                acc[j] += av * b_row[j];
+        }
+        for (std::int64_t j = 0; j < nr; ++j)
+            c_row[j] = acc[j];
     }
-    for (; p < n; ++p)
-        acc0 += x[p] * y[p];
-    return (acc0 + acc1) + (acc2 + acc3);
 }
 
 } // namespace GIST_KIMPL_NS

@@ -13,46 +13,26 @@ namespace gist {
 
 namespace {
 
-// Cache blocking: C row panels of MC rows are the parallel unit; the
-// reduction is tiled into KC slices and C columns into NC slices so the
-// active B tile (KC x NC floats = 128 KB) stays L2-resident while a
-// panel streams over it. Every C row is computed entirely inside one
-// chunk with a thread-count-independent loop order (KC slices ascending,
-// p ascending within a slice), so results are bitwise-identical at any
-// thread count.
-constexpr std::int64_t kMC = 32;
+using simd::kGemmMR;
+using simd::kGemmNR;
+
+// BLIS-style blocking around the kGemmMR x kGemmNR register microkernel.
+// The reduction runs in KC slices; inside a slice C is cut into fixed
+// MC x NC tiles, the parallel unit. A tile packs its MC x KC block of
+// op(A) once as MR-row panels, then walks its NR-column strips of op(B):
+// pack one KC x NR strip, run the microkernel down every panel. That is
+// MC * KC + KC * NR floats (32 KiB) of arena scratch per worker.
 constexpr std::int64_t kKC = 128;
+constexpr std::int64_t kMC = 48;
 constexpr std::int64_t kNC = 256;
 
-// Minimum estimated axpy traffic (elements) before gemmCsrA fans out to
-// the pool: below this the per-chunk dispatch plus the cold per-worker
-// arena scratch cost more than the nonzero work itself, so the whole
-// range runs as one inline chunk (bitwise-identical by the static
-// chunking contract).
-constexpr std::int64_t kMinCsrParallelWork = 1 << 20;
+// Multiply-adds below which a GEMM runs all its tiles inline on the
+// caller: the pool's dispatch and each worker's cold pack scratch cost
+// more than such a call's whole compute (every per-image conv GEMM of
+// the tiny models sits below this).
+constexpr std::int64_t kMinParallelMacs = std::int64_t{ 1 } << 21;
 
-// B slab one CSR column block may touch (block_k rows x n floats):
-// 512 KB keeps the slab L2-resident while every row of a kMC panel
-// streams over it, instead of each row sweeping the whole of B.
-constexpr std::int64_t kCsrBSlabBytes = 512 << 10;
-
-// Gathered entries to run ahead of the axpy loop with a software
-// prefetch: the B rows a CSR row touches are scattered, so the hardware
-// stride prefetcher cannot see them coming.
-constexpr std::int64_t kCsrPrefetchDist = 8;
-
-inline void
-prefetchRead(const void *p)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p);
-#else
-    (void)p;
-#endif
-}
-
-/** C *= beta over m*n elements (beta == 0 is folded into the compute
- *  loops instead — no separate zero-fill pass over C). */
+/** C *= beta over m*n elements (beta == 0 zero-fills). */
 void
 scaleC(std::int64_t total, float beta, float *c)
 {
@@ -71,91 +51,212 @@ scaleC(std::int64_t total, float beta, float *c)
 }
 
 /**
- * Row panel [i0, i1) of C for op(B) = B (row-major k x n): axpy form,
- * the inner j loop streams B and C rows and auto-vectorizes. When
- * beta == 0 each C segment is zero-initialized on first touch (kc slice
- * 0) while it is already cache-hot, replacing the old whole-matrix
- * zero-fill pass.
+ * op(A) pack source for a dense row-major A (stored k x m when
+ * @p trans): writes rows [i0, i0 + mr) x columns [pc, pc + kc) of
+ * alpha * op(A) as one kc x kGemmMR panel, rows >= mr zero. The
+ * transpose is only a choice of strides.
  */
-void
-panelNoTransB(std::int64_t i0, std::int64_t i1, std::int64_t n,
-              std::int64_t k, bool trans_a, std::int64_t m, float alpha,
-              const float *a, const float *b, float beta, float *c)
+struct DenseA
 {
-    // Panels run on pool workers; the arena frame bumps this worker's
-    // own region, so the A-pack costs no heap allocation once the
-    // region is warm.
-    ArenaScope scope;
-    float *a_pack = nullptr;
-    if (trans_a)
-        a_pack = scope.alloc<float>(static_cast<size_t>((i1 - i0) * kKC));
-    const auto axpy = simd::ops().axpy;
+    const float *a;
+    bool trans;
+    std::int64_t m, k;
+    float alpha;
 
-    for (std::int64_t pc = 0; pc < k; pc += kKC) {
-        const std::int64_t kc = std::min(kKC, k - pc);
-        if (trans_a) {
-            // Gather the strided A^T slice once per (panel, kc slice) so
-            // the compute loop reads it contiguously.
-            for (std::int64_t i = i0; i < i1; ++i)
-                for (std::int64_t p = 0; p < kc; ++p)
-                    a_pack[static_cast<size_t>((i - i0) * kc + p)] =
-                        a[(pc + p) * m + i];
+    void
+    operator()(std::int64_t i0, std::int64_t mr, std::int64_t pc,
+               std::int64_t kc, float *dst) const
+    {
+        // op(A)(i, p) sits at a[i * rs + p * cs].
+        const std::int64_t rs = trans ? 1 : k;
+        const std::int64_t cs = trans ? m : 1;
+        const float *src = a + i0 * rs + pc * cs;
+        if (mr == kGemmMR) {
+            for (std::int64_t p = 0; p < kc; ++p)
+                for (std::int64_t i = 0; i < kGemmMR; ++i)
+                    dst[p * kGemmMR + i] = alpha * src[i * rs + p * cs];
+            return;
         }
-        for (std::int64_t jc = 0; jc < n; jc += kNC) {
-            const std::int64_t nc = std::min(kNC, n - jc);
-            for (std::int64_t i = i0; i < i1; ++i) {
-                float *c_row = c + i * n + jc;
-                if (beta == 0.0f && pc == 0)
-                    std::memset(c_row, 0,
-                                static_cast<size_t>(nc) * sizeof(float));
-                const float *a_row = trans_a ? a_pack + (i - i0) * kc
-                                             : a + i * k + pc;
-                for (std::int64_t p = 0; p < kc; ++p) {
-                    const float a_val = alpha * a_row[p];
-                    if (a_val == 0.0f)
-                        continue;
-                    axpy(nc, a_val, b + (pc + p) * n + jc, c_row);
-                }
+        std::fill(dst, dst + kc * kGemmMR, 0.0f);
+        for (std::int64_t p = 0; p < kc; ++p)
+            for (std::int64_t i = 0; i < mr; ++i)
+                dst[p * kGemmMR + i] = alpha * src[i * rs + p * cs];
+    }
+};
+
+/**
+ * op(A) pack source for a flat-CSR A (m x k, no transpose): scatters
+ * the stored entries of the panel into a fill of alpha * 0, so the
+ * panel is bit-for-bit the one DenseA packs from the decoded matrix.
+ */
+struct CsrA
+{
+    const CsrConstView &v;
+    std::int64_t k;
+    float alpha;
+
+    void
+    operator()(std::int64_t i0, std::int64_t mr, std::int64_t pc,
+               std::int64_t kc, float *dst) const
+    {
+        std::fill(dst, dst + kc * kGemmMR, alpha * 0.0f);
+        ArenaScope scope;
+        float *vals = scope.alloc<float>(static_cast<size_t>(kc));
+        for (std::int64_t i = 0; i < mr; ++i) {
+            const std::int64_t lo = (i0 + i) * k + pc;
+            const std::int64_t hi = lo + kc;
+            for (std::int64_t r = lo / v.row_width; r * v.row_width < hi;
+                 ++r) {
+                // Entries of a CSR row ascend by column, so the ones
+                // inside [lo, hi) form one contiguous run [k0, k1).
+                const std::int64_t base = r * v.row_width;
+                const auto end = static_cast<std::int64_t>(
+                    v.row_ptr[static_cast<size_t>(r + 1)]);
+                auto k0 = static_cast<std::int64_t>(
+                    v.row_ptr[static_cast<size_t>(r)]);
+                while (k0 < end && base + csrColAt(v, k0) < lo)
+                    ++k0;
+                std::int64_t k1 = k0;
+                while (k1 < end && base + csrColAt(v, k1) < hi)
+                    ++k1;
+                if (k0 == k1)
+                    continue;
+                csrValues(v, k0, k1, vals);
+                for (std::int64_t t = k0; t < k1; ++t)
+                    dst[(base + csrColAt(v, t) - lo) * kGemmMR + i] =
+                        alpha * vals[t - k0];
             }
         }
+    }
+};
+
+/**
+ * op(B) pack source for a dense row-major B (stored n x k when
+ * @p trans): writes rows [pc, pc + kc) x columns [j0, j0 + nr) of op(B)
+ * as one kc x kGemmNR strip, columns >= nr zero. slice() is a no-op:
+ * the whole of B is already resident.
+ */
+struct DenseB
+{
+    const float *b;
+    bool trans;
+    std::int64_t n, k;
+
+    void slice(std::int64_t, std::int64_t) {}
+
+    void
+    operator()(std::int64_t pc, std::int64_t kc, std::int64_t j0,
+               std::int64_t nr, float *dst) const
+    {
+        // op(B)(p, j) sits at b[p * rs + j * cs].
+        const std::int64_t rs = trans ? 1 : n;
+        const std::int64_t cs = trans ? k : 1;
+        const float *src = b + pc * rs + j0 * cs;
+        if (nr == kGemmNR && !trans) {
+            for (std::int64_t p = 0; p < kc; ++p)
+                for (std::int64_t j = 0; j < kGemmNR; ++j)
+                    dst[p * kGemmNR + j] = src[p * rs + j];
+            return;
+        }
+        if (nr < kGemmNR)
+            std::fill(dst, dst + kc * kGemmNR, 0.0f);
+        for (std::int64_t p = 0; p < kc; ++p)
+            for (std::int64_t j = 0; j < nr; ++j)
+                dst[p * kGemmNR + j] = src[p * rs + j * cs];
+    }
+};
+
+/**
+ * op(B) pack source behind a PackFn: slice() decodes the kc x n rows of
+ * one KC slice once into @p buf (KC * n floats), and the strips are
+ * packed from there exactly as DenseB packs a resident B.
+ */
+struct PackedB
+{
+    const PackFn &fn;
+    std::int64_t n;
+    float *buf;
+
+    void
+    slice(std::int64_t pc, std::int64_t kc)
+    {
+        fn(pc * n, buf, kc * n);
+    }
+
+    void
+    operator()(std::int64_t, std::int64_t kc, std::int64_t j0,
+               std::int64_t nr, float *dst) const
+    {
+        DenseB{ buf, false, n, kc }(0, kc, j0, nr, dst);
+    }
+};
+
+/**
+ * The one GEMM loop nest: C = A * B + beta * C with A and B supplied by
+ * pack sources (alpha is folded into the A pack). Every C element is a
+ * single chain c = c + a * b over p ascending, started from beta * C
+ * (from +0 when beta == 0), whatever the tiling, the pack source or the
+ * thread count — so results are bitwise-identical across all three.
+ */
+template <typename ASrc, typename BSrc>
+void
+packedGemm(std::int64_t m, std::int64_t n, std::int64_t k, float beta,
+           const ASrc &pack_a, BSrc &pack_b, float *c)
+{
+    if (beta != 0.0f)
+        scaleC(m * n, beta, c);
+    const std::int64_t tiles_n = (n + kNC - 1) / kNC;
+    const std::int64_t tiles = (m + kMC - 1) / kMC * tiles_n;
+    const std::int64_t grain = m * n * k < kMinParallelMacs ? tiles : 1;
+    const auto micro = simd::ops().gemmMicro;
+    for (std::int64_t pc = 0; pc < k; pc += kKC) {
+        const std::int64_t kc = std::min(kKC, k - pc);
+        const bool accumulate = beta != 0.0f || pc > 0;
+        pack_b.slice(pc, kc);
+        parallelFor(0, tiles, grain, [&](std::int64_t t0, std::int64_t t1) {
+            // Tiles run on pool workers; the frame bumps this worker's
+            // own arena region, so warm packs make no heap allocation.
+            ArenaScope scope;
+            float *a_buf = scope.alloc<float>(kMC * kKC);
+            float *b_buf = scope.alloc<float>(kKC * kGemmNR);
+            for (std::int64_t t = t0; t < t1; ++t) {
+                const std::int64_t ic = t / tiles_n * kMC;
+                const std::int64_t jc = t % tiles_n * kNC;
+                const std::int64_t mc = std::min(kMC, m - ic);
+                const std::int64_t nc = std::min(kNC, n - jc);
+                for (std::int64_t ir = 0; ir < mc; ir += kGemmMR)
+                    pack_a(ic + ir, std::min(kGemmMR, mc - ir), pc, kc,
+                           a_buf + ir * kc);
+                for (std::int64_t jr = 0; jr < nc; jr += kGemmNR) {
+                    const std::int64_t nr = std::min(kGemmNR, nc - jr);
+                    pack_b(pc, kc, jc + jr, nr, b_buf);
+                    for (std::int64_t ir = 0; ir < mc; ir += kGemmMR)
+                        micro(kc, a_buf + ir * kc, b_buf,
+                              c + (ic + ir) * n + jc + jr, n,
+                              std::min(kGemmMR, mc - ir), nr, accumulate);
+                }
+            }
+        });
     }
 }
 
-/**
- * Row panel [i0, i1) of C for op(B) = B^T (B stored n x k): dot-product
- * form — both operand rows are contiguous, so the reduction is split
- * over four accumulators to expose vector lanes.
- */
-void
-panelTransB(std::int64_t i0, std::int64_t i1, std::int64_t n,
-            std::int64_t k, bool trans_a, std::int64_t m, float alpha,
-            const float *a, const float *b, float beta, float *c)
+/** Shared argument checks; returns false when C = beta * C is all the
+ *  work there is (empty product), having done it. */
+bool
+hasProduct(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+           float beta, float *c)
 {
-    ArenaScope scope;
-    float *a_pack = nullptr;
-    if (trans_a) {
-        a_pack = scope.alloc<float>(static_cast<size_t>((i1 - i0) * k));
-        for (std::int64_t i = i0; i < i1; ++i)
-            for (std::int64_t p = 0; p < k; ++p)
-                a_pack[(i - i0) * k + p] = a[p * m + i];
+    GIST_ASSERT(m >= 0 && n >= 0 && k >= 0, "bad gemm dims");
+    if (m == 0 || n == 0)
+        return false;
+    GIST_ASSERT(c != nullptr, "gemm: null C with m, n > 0");
+    if (alpha == 0.0f || k == 0) {
+        // No A*B contribution: C = beta * C (beta == 0 zero-fills, as
+        // BLAS semantics require even for garbage/NaN input C).
+        scaleC(m * n, beta, c);
+        return false;
     }
-    const auto dot = simd::ops().dot;
-
-    for (std::int64_t jc = 0; jc < n; jc += kNC) {
-        const std::int64_t nc = std::min(kNC, n - jc);
-        for (std::int64_t i = i0; i < i1; ++i) {
-            const float *a_row = trans_a ? a_pack + (i - i0) * k
-                                         : a + i * k;
-            float *c_row = c + i * n + jc;
-            for (std::int64_t j = 0; j < nc; ++j) {
-                const float acc = dot(k, a_row, b + (jc + j) * k);
-                if (beta == 0.0f)
-                    c_row[j] = alpha * acc;
-                else
-                    c_row[j] += alpha * acc;
-            }
-        }
-    }
+    return true;
 }
 
 } // namespace
@@ -169,33 +270,12 @@ gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                        static_cast<long long>(m),
                        static_cast<long long>(n),
                        static_cast<long long>(k));
-    GIST_ASSERT(m >= 0 && n >= 0 && k >= 0, "bad gemm dims");
-    if (m == 0 || n == 0)
+    if (!hasProduct(m, n, k, alpha, beta, c))
         return;
-    GIST_ASSERT(c != nullptr, "gemm: null C with m, n > 0");
-    if (alpha != 0.0f && k > 0) {
-        GIST_ASSERT(a != nullptr, "gemm: null A with m, k > 0");
-        GIST_ASSERT(b != nullptr, "gemm: null B with k, n > 0");
-    }
-
-    if (alpha == 0.0f || k == 0) {
-        // No A*B contribution: C = beta * C (beta == 0 zero-fills, as
-        // BLAS semantics require even for garbage/NaN input C).
-        scaleC(m * n, beta, c);
-        return;
-    }
-
-    // beta == 0 skips the separate zero/scale pass entirely; the panel
-    // kernels write-initialize C instead.
-    if (beta != 0.0f)
-        scaleC(m * n, beta, c);
-
-    parallelFor(0, m, kMC, [=](std::int64_t i0, std::int64_t i1) {
-        if (!trans_b)
-            panelNoTransB(i0, i1, n, k, trans_a, m, alpha, a, b, beta, c);
-        else
-            panelTransB(i0, i1, n, k, trans_a, m, alpha, a, b, beta, c);
-    });
+    GIST_ASSERT(a != nullptr, "gemm: null A with m, k > 0");
+    GIST_ASSERT(b != nullptr, "gemm: null B with k, n > 0");
+    DenseB pack_b{ b, trans_b, n, k };
+    packedGemm(m, n, k, beta, DenseA{ a, trans_a, m, k, alpha }, pack_b, c);
 }
 
 void
@@ -207,64 +287,14 @@ gemmPackedB(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
                        static_cast<long long>(m),
                        static_cast<long long>(n),
                        static_cast<long long>(k));
-    GIST_ASSERT(m >= 0 && n >= 0 && k >= 0, "bad gemm dims");
-    if (m == 0 || n == 0)
+    if (!hasProduct(m, n, k, alpha, beta, c))
         return;
-    GIST_ASSERT(c != nullptr, "gemm: null C with m, n > 0");
-    if (alpha == 0.0f || k == 0) {
-        scaleC(m * n, beta, c);
-        return;
-    }
     GIST_ASSERT(a != nullptr, "gemm: null A with m, k > 0");
-    if (beta != 0.0f)
-        scaleC(m * n, beta, c);
-
-    // The kc-slice loop sits OUTSIDE the row-panel parallelFor (the
-    // inverse of panelNoTransB's nesting) so each B slice is decoded
-    // exactly once per call, not once per panel. Per C element the
-    // contribution order is still kc slices ascending, p ascending —
-    // identical to the dense nesting.
     ArenaScope scope;
-    float *b_tile =
-        scope.alloc<float>(static_cast<size_t>(kKC) *
-                           static_cast<size_t>(n));
-    for (std::int64_t pc = 0; pc < k; pc += kKC) {
-        const std::int64_t kc = std::min(kKC, k - pc);
-        b_pack(pc * n, b_tile, kc * n);
-        parallelFor(0, m, kMC,
-                    [&, pc, kc](std::int64_t i0, std::int64_t i1) {
-            ArenaScope panel_scope;
-            float *a_pack = nullptr;
-            if (trans_a) {
-                a_pack = panel_scope.alloc<float>(
-                    static_cast<size_t>((i1 - i0) * kc));
-                for (std::int64_t i = i0; i < i1; ++i)
-                    for (std::int64_t p = 0; p < kc; ++p)
-                        a_pack[static_cast<size_t>((i - i0) * kc + p)] =
-                            a[(pc + p) * m + i];
-            }
-            const auto axpy = simd::ops().axpy;
-            for (std::int64_t jc = 0; jc < n; jc += kNC) {
-                const std::int64_t nc = std::min(kNC, n - jc);
-                for (std::int64_t i = i0; i < i1; ++i) {
-                    float *c_row = c + i * n + jc;
-                    if (beta == 0.0f && pc == 0)
-                        std::memset(c_row, 0,
-                                    static_cast<size_t>(nc) *
-                                        sizeof(float));
-                    const float *a_row = trans_a
-                                             ? a_pack + (i - i0) * kc
-                                             : a + i * k + pc;
-                    for (std::int64_t p = 0; p < kc; ++p) {
-                        const float a_val = alpha * a_row[p];
-                        if (a_val == 0.0f)
-                            continue;
-                        axpy(nc, a_val, b_tile + p * n + jc, c_row);
-                    }
-                }
-            }
-        });
-    }
+    PackedB pack_b{ b_pack, n,
+                    scope.alloc<float>(static_cast<size_t>(
+                        std::min(kKC, k) * n)) };
+    packedGemm(m, n, k, beta, DenseA{ a, trans_a, m, k, alpha }, pack_b, c);
 }
 
 void
@@ -275,133 +305,13 @@ gemmCsrA(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                        static_cast<long long>(m),
                        static_cast<long long>(n),
                        static_cast<long long>(k));
-    GIST_ASSERT(m >= 0 && n >= 0 && k >= 0, "bad gemm dims");
-    if (m == 0 || n == 0)
+    if (!hasProduct(m, n, k, alpha, beta, c))
         return;
-    GIST_ASSERT(c != nullptr, "gemm: null C with m, n > 0");
-    if (alpha == 0.0f || k == 0) {
-        scaleC(m * n, beta, c);
-        return;
-    }
     GIST_ASSERT(a.numel == m * k, "csr A holds ", a.numel,
                 " values, expected ", m * k);
     GIST_ASSERT(b != nullptr, "gemm: null B with k, n > 0");
-    if (beta != 0.0f)
-        scaleC(m * n, beta, c);
-
-    const std::int64_t est_work = a.nnz * n;
-    const std::int64_t grain =
-        est_work < kMinCsrParallelWork ? m : kMC;
-    // A-column block: the B rows a block can reach form an L2-resident
-    // slab that all rows of a panel reuse, instead of each row sweeping
-    // the whole of B (the dense path's KC slicing, adapted to the
-    // gathered entry lists).
-    const std::int64_t block_k = std::max<std::int64_t>(
-        64, kCsrBSlabBytes /
-                (static_cast<std::int64_t>(sizeof(float)) * n));
-    parallelFor(0, m, grain, [&](std::int64_t i0, std::int64_t i1) {
-        const auto axpy = simd::ops().axpy;
-        for (std::int64_t ip = i0; ip < i1; ip += kMC) {
-            const std::int64_t ie = std::min(ip + kMC, i1);
-            const std::int64_t rows = ie - ip;
-            ArenaScope scope;
-            // Exact per-panel entry bound straight from row_ptr (the
-            // CSR chunk rows overlapping the panel's flat range).
-            const std::int64_t rp0 = (ip * k) / a.row_width;
-            const std::int64_t rp1 = (ie * k - 1) / a.row_width;
-            const std::int64_t bound =
-                static_cast<std::int64_t>(
-                    a.row_ptr[static_cast<size_t>(rp1 + 1)]) -
-                static_cast<std::int64_t>(
-                    a.row_ptr[static_cast<size_t>(rp0)]);
-            auto *p_idx = scope.alloc<std::int32_t>(
-                static_cast<size_t>(std::max<std::int64_t>(bound, 1)));
-            float *p_val = scope.alloc<float>(
-                static_cast<size_t>(std::max<std::int64_t>(bound, 1)));
-            auto *start =
-                scope.alloc<std::int64_t>(static_cast<size_t>(rows) + 1);
-            auto *cur =
-                scope.alloc<std::int64_t>(static_cast<size_t>(rows));
-            float *vals =
-                scope.alloc<float>(static_cast<size_t>(a.row_width));
-            // Stage 1 — per-row value prefetch: decode each row's
-            // surviving (p, alpha * value) pairs once, in ascending
-            // flat order (the order the dense path visits and skips
-            // them), packed panel-contiguously.
-            std::int64_t cnt = 0;
-            for (std::int64_t i = ip; i < ie; ++i) {
-                start[i - ip] = cnt;
-                if (beta == 0.0f)
-                    std::memset(c + i * n, 0,
-                                static_cast<size_t>(n) * sizeof(float));
-                const std::int64_t flat0 = i * k;
-                const std::int64_t r0 = flat0 / a.row_width;
-                const std::int64_t r1 = (flat0 + k - 1) / a.row_width;
-                for (std::int64_t r = r0; r <= r1; ++r) {
-                    const auto k0 = static_cast<std::int64_t>(
-                        a.row_ptr[static_cast<size_t>(r)]);
-                    const auto k1 = static_cast<std::int64_t>(
-                        a.row_ptr[static_cast<size_t>(r + 1)]);
-                    if (k0 == k1)
-                        continue;
-                    csrValues(a, k0, k1, vals);
-                    const std::int64_t row_base = r * a.row_width;
-                    for (std::int64_t kk = k0; kk < k1; ++kk) {
-                        const std::int64_t flat =
-                            row_base +
-                            static_cast<std::int64_t>(csrColAt(a, kk));
-                        if (flat < flat0 || flat >= flat0 + k)
-                            continue;
-                        // Lossy-valued entries can decode to zero; the
-                        // dense path's a_val == 0 skip drops those, so
-                        // drop them here too.
-                        const float a_val = alpha * vals[kk - k0];
-                        if (a_val == 0.0f)
-                            continue;
-                        p_idx[cnt] =
-                            static_cast<std::int32_t>(flat - flat0);
-                        p_val[cnt] = a_val;
-                        ++cnt;
-                    }
-                }
-            }
-            start[rows] = cnt;
-            // Stage 2 — blocked accumulation: A-column blocks ascending,
-            // each row's entries within a block ascending, the dense
-            // path's NC tiling inside. Per C element the contribution
-            // order is still p ascending with axpy arguments identical
-            // to the dense reference, so results stay bitwise-identical
-            // at any thread count.
-            for (std::int64_t r = 0; r < rows; ++r)
-                cur[r] = start[r];
-            for (std::int64_t pc = 0; pc < k; pc += block_k) {
-                const std::int64_t pend = std::min(pc + block_k, k);
-                for (std::int64_t r = 0; r < rows; ++r) {
-                    const std::int64_t t0 = cur[r];
-                    const std::int64_t stop = start[r + 1];
-                    std::int64_t t1 = t0;
-                    while (t1 < stop && p_idx[t1] < pend)
-                        ++t1;
-                    cur[r] = t1;
-                    if (t0 == t1)
-                        continue;
-                    float *c_row = c + (ip + r) * n;
-                    for (std::int64_t jc = 0; jc < n; jc += kNC) {
-                        const std::int64_t nc = std::min(kNC, n - jc);
-                        for (std::int64_t t = t0; t < t1; ++t) {
-                            if (t + kCsrPrefetchDist < t1)
-                                prefetchRead(
-                                    b +
-                                    p_idx[t + kCsrPrefetchDist] * n +
-                                    jc);
-                            axpy(nc, p_val[t], b + p_idx[t] * n + jc,
-                                 c_row + jc);
-                        }
-                    }
-                }
-            }
-        }
-    });
+    DenseB pack_b{ b, false, n, k };
+    packedGemm(m, n, k, beta, CsrA{ a, k, alpha }, pack_b, c);
 }
 
 } // namespace gist

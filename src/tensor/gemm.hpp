@@ -20,6 +20,16 @@ namespace gist {
  * All matrices are dense row-major. op(A) is A (m x k) or A^T when
  * @p trans_a (A stored k x m); likewise for B.
  *
+ * All three entry points run one packed core: op(A) is packed (times
+ * alpha) into 6-row panels, op(B) into 16-column strips, and a
+ * register microkernel (simd::SimdOps::gemmMicro) computes each C
+ * element as one chain c = c + a * b over p ascending, started from
+ * beta * C (from +0 when beta == 0, so a garbage C is never read).
+ * Only the pack sources differ between the entry points, so their
+ * results are bitwise-identical for the same operand values, at any
+ * thread count. Zero entries of A are not skipped: NaN/Inf in B
+ * propagates through them, as in BLAS.
+ *
  * @param m rows of op(A) and C
  * @param n cols of op(B) and C
  * @param k cols of op(A) / rows of op(B)
@@ -30,13 +40,11 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 
 /**
  * gemm() with op(B) = B (k x n row-major) supplied by a pack callback
- * instead of a dense pointer: each KC-row reduction slice of B is
- * decoded once into step-arena scratch and every C row panel consumes
- * it from there, so the resident B footprint is KC * n floats instead
- * of the full k * n decode buffer. The slice/panel loop structure, the
- * zero-initialization point and the per-element accumulation order all
- * match gemm(trans_a, false, ...) exactly — the result is
- * bitwise-identical to decoding B densely first.
+ * instead of a dense pointer: each KC-row slice of B is decoded once
+ * into step-arena scratch and the B strips are packed from there, so
+ * the resident B footprint is KC * n floats instead of the full k * n
+ * decode buffer. Bitwise-identical to decoding B densely first and
+ * calling gemm(trans_a, false, ...).
  */
 void gemmPackedB(bool trans_a, std::int64_t m, std::int64_t n,
                  std::int64_t k, float alpha, const float *a,
@@ -44,13 +52,10 @@ void gemmPackedB(bool trans_a, std::int64_t m, std::int64_t n,
 
 /**
  * gemm() with op(A) = A (m x k row-major, no transpose) supplied in
- * flat-CSR form: walks row_ptr/col_idx directly and issues one axpy per
- * stored nonzero, so compute scales with (1 - sparsity) and the A
- * operand is never decoded to dense. Per C row the nonzeros are visited
- * in ascending flat order with the same column tiling and axpy widths
- * as the dense path, so the result is bitwise-identical to decoding A
- * and calling gemm(false, false, ...). @p a must hold exactly m * k
- * encoded values.
+ * flat-CSR form: the A panels are packed by scattering the stored
+ * nonzeros straight from row_ptr/col_idx, so A is never decoded to a
+ * dense matrix. Bitwise-identical to decoding A and calling
+ * gemm(false, false, ...). @p a must hold exactly m * k encoded values.
  */
 void gemmCsrA(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const CsrConstView &a, const float *b, float beta, float *c);

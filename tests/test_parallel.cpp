@@ -213,6 +213,47 @@ TEST(ParallelDeterminism, GemmBitwiseIdentical)
             }
 }
 
+TEST(ParallelDeterminism, GemmTinyVggConvShapesBitwiseIdentical)
+{
+    // Per-image conv GEMMs of tiny VGG16 (in_c, out_c, H = W): forward
+    // W * col, dW += dY * col^T and dcol = W^T * dY, where m and n are
+    // smaller than one C tile.
+    struct Conv
+    {
+        std::int64_t in_c, out_c, hw;
+    };
+    const Conv convs[] = { { 3, 16, 16 },  { 16, 16, 16 }, { 16, 32, 8 },
+                           { 32, 32, 8 },  { 32, 48, 4 },  { 48, 48, 4 } };
+    for (const Conv &cv : convs) {
+        const std::int64_t k = cv.in_c * 9;
+        const std::int64_t p = cv.hw * cv.hw;
+        const std::int64_t oc = cv.out_c;
+        const auto w = randomVec(oc * k, 31);
+        const auto col = randomVec(k * p, 32);
+        const auto dy = randomVec(oc * p, 33);
+        const auto run = [&](int threads) {
+            ThreadGuard guard(threads);
+            std::vector<float> y(static_cast<size_t>(oc * p));
+            auto dw = randomVec(oc * k, 34);
+            std::vector<float> dcol(static_cast<size_t>(k * p));
+            gemm(false, false, oc, p, k, 1.0f, w.data(), col.data(), 0.0f,
+                 y.data());
+            gemm(false, true, oc, k, p, 1.0f, dy.data(), col.data(), 1.0f,
+                 dw.data());
+            gemm(true, false, k, p, oc, 1.0f, w.data(), dy.data(), 0.0f,
+                 dcol.data());
+            y.insert(y.end(), dw.begin(), dw.end());
+            y.insert(y.end(), dcol.begin(), dcol.end());
+            return y;
+        };
+        const auto serial = run(1);
+        const auto parallel = run(5);
+        ASSERT_EQ(0, std::memcmp(serial.data(), parallel.data(),
+                                 serial.size() * sizeof(float)))
+            << "conv in_c=" << cv.in_c << " out_c=" << oc << " hw=" << cv.hw;
+    }
+}
+
 TEST(ParallelDeterminism, BinarizeBitwiseIdentical)
 {
     const auto v = randomVec(100001, 21, 0.4);

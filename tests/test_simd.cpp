@@ -6,9 +6,10 @@
  * encode/decode/quantize, binarize pack/backward, CSR nonzero count)
  * over a value sweep that hits the nasty corners — denormals, ±inf,
  * NaN, ±0, RNE ties, format overflow/underflow boundaries, and spans
- * with odd tails. The float kernels (axpy/dot) are only required to be
- * close (they may use FMA / wider reductions), so they get a tolerance
- * check. The GIST_SIMD env plumbing is exercised via initFromEnv().
+ * with odd tails. The float kernels (axpy, the GEMM microkernel) are
+ * only required to be close (they may use FMA), so they get a tolerance
+ * check against a double-precision reference. The GIST_SIMD env
+ * plumbing is exercised via initFromEnv().
  */
 
 #include <gtest/gtest.h>
@@ -286,7 +287,7 @@ TEST_F(SimdEquivalence, CountNonzeroParityAcrossBackends)
             << opsFor(b).name;
 }
 
-TEST_F(SimdEquivalence, AxpyDotCloseToScalarReference)
+TEST_F(SimdEquivalence, AxpyCloseToScalarReference)
 {
     Rng rng(2024);
     const std::int64_t sizes[] = { 1, 3, 7, 8, 9, 31, 32, 33, 100, 1000 };
@@ -301,13 +302,9 @@ TEST_F(SimdEquivalence, AxpyDotCloseToScalarReference)
 
         // Double-precision reference bounds every backend.
         std::vector<double> yd(y0.begin(), y0.end());
-        double dotd = 0.0;
-        for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t i = 0; i < n; ++i)
             yd[static_cast<size_t>(i)] +=
                 static_cast<double>(a) * x[static_cast<size_t>(i)];
-            dotd += static_cast<double>(x[static_cast<size_t>(i)]) *
-                    y0[static_cast<size_t>(i)];
-        }
 
         for (Backend b : availableBackends()) {
             const SimdOps &o = opsFor(b);
@@ -317,11 +314,95 @@ TEST_F(SimdEquivalence, AxpyDotCloseToScalarReference)
                 ASSERT_NEAR(yd[static_cast<size_t>(i)],
                             y[static_cast<size_t>(i)], 1e-5)
                     << o.name << " axpy n " << n << " i " << i;
-
-            const float d = o.dot(n, x.data(), y0.data());
-            ASSERT_NEAR(dotd, d, 1e-3 * std::max<double>(1.0, n))
-                << o.name << " dot n " << n;
         }
+    }
+}
+
+TEST_F(SimdEquivalence, GemmMicroMatchesDoubleReferenceAtEdgeTiles)
+{
+    // C is a kGemmMR x kGemmNR window inside a wider row stride, ringed
+    // by sentinels that must survive; the packed pads past mr / nr hold
+    // NaN, which must not reach any stored element.
+    constexpr std::int64_t kLdc = kGemmNR + 3;
+    const float kSentinel = -777.0f;
+    const float kNan = std::numeric_limits<float>::quiet_NaN();
+    Rng rng(606);
+    for (std::int64_t kc : { 1, 127, 128, 129 }) {
+        std::vector<float> a(static_cast<size_t>(kc * kGemmMR));
+        std::vector<float> b(static_cast<size_t>(kc * kGemmNR));
+        std::vector<float> c0(static_cast<size_t>(kGemmMR * kLdc));
+        for (auto &v : a)
+            v = rng.normal();
+        for (auto &v : b)
+            v = rng.normal();
+        for (auto &v : c0)
+            v = rng.normal();
+        for (bool accumulate : { false, true })
+            for (Backend be : availableBackends()) {
+                const SimdOps &o = opsFor(be);
+                // The full tile, whose corners every edge tile must
+                // reproduce bit for bit (tiling independence).
+                std::vector<float> full(c0);
+                o.gemmMicro(kc, a.data(), b.data(), full.data(), kLdc,
+                            kGemmMR, kGemmNR, accumulate);
+                for (std::int64_t mr = 1; mr <= kGemmMR; ++mr)
+                    for (std::int64_t nr = 1; nr <= kGemmNR; ++nr) {
+                        std::vector<float> ap(a), bp(b);
+                        for (std::int64_t p = 0; p < kc; ++p) {
+                            for (std::int64_t i = mr; i < kGemmMR; ++i)
+                                ap[static_cast<size_t>(p * kGemmMR + i)] =
+                                    kNan;
+                            for (std::int64_t j = nr; j < kGemmNR; ++j)
+                                bp[static_cast<size_t>(p * kGemmNR + j)] =
+                                    kNan;
+                        }
+                        std::vector<float> c(c0.size(), kSentinel);
+                        for (std::int64_t i = 0; i < mr; ++i)
+                            for (std::int64_t j = 0; j < nr; ++j)
+                                c[static_cast<size_t>(i * kLdc + j)] =
+                                    accumulate
+                                        ? c0[static_cast<size_t>(
+                                              i * kLdc + j)]
+                                        : kNan; // must not be read
+                        o.gemmMicro(kc, ap.data(), bp.data(), c.data(),
+                                    kLdc, mr, nr, accumulate);
+                        for (std::int64_t i = 0; i < kGemmMR; ++i)
+                            for (std::int64_t j = 0; j < kLdc; ++j) {
+                                const auto at =
+                                    static_cast<size_t>(i * kLdc + j);
+                                if (i >= mr || j >= nr) {
+                                    ASSERT_EQ(kSentinel, c[at])
+                                        << o.name << " stored outside "
+                                        << mr << "x" << nr << " at " << i
+                                        << "," << j;
+                                    continue;
+                                }
+                                double ref = accumulate ? c0[at] : 0.0;
+                                double mag = std::fabs(ref);
+                                for (std::int64_t p = 0; p < kc; ++p) {
+                                    const double t =
+                                        static_cast<double>(a[static_cast<
+                                            size_t>(p * kGemmMR + i)]) *
+                                        b[static_cast<size_t>(
+                                            p * kGemmNR + j)];
+                                    ref += t;
+                                    mag += std::fabs(t);
+                                }
+                                ASSERT_NEAR(ref, c[at],
+                                            1.2e-7 * (kc + 1) * mag)
+                                    << o.name << " kc " << kc << " mr "
+                                    << mr << " nr " << nr << " at " << i
+                                    << "," << j;
+                                ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                                              full[at]),
+                                          std::bit_cast<std::uint32_t>(
+                                              c[at]))
+                                    << o.name << " edge tile " << mr
+                                    << "x" << nr << " differs from the "
+                                    << "full tile at " << i << "," << j;
+                            }
+                    }
+            }
     }
 }
 
