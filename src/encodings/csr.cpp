@@ -310,31 +310,35 @@ CsrBuffer::decodeRange(std::int64_t offset, std::span<float> out) const
     if (len == 0)
         return;
 
-    const std::int64_t first_row = offset / config.row_width;
-    const std::int64_t last_row = (offset + len - 1) / config.row_width;
+    // Row by row: the values of a row's stored entries come out in one
+    // batch (one DPR run decode for packed values), then scatter.
+    const CsrConstView v = view();
+    ArenaScope scope;
+    float *vals = v.values_f32
+                      ? nullptr
+                      : scope.alloc<float>(static_cast<size_t>(v.row_width));
+    const std::int64_t first_row = offset / v.row_width;
+    const std::int64_t last_row = (offset + len - 1) / v.row_width;
     for (std::int64_t r = first_row; r <= last_row; ++r) {
-        const std::uint32_t begin = row_ptr[static_cast<size_t>(r)];
-        const std::uint32_t end = row_ptr[static_cast<size_t>(r + 1)];
-        for (std::uint32_t k = begin; k < end; ++k) {
-            std::uint32_t col = 0;
-            for (int b = 0; b < config.index_bytes; ++b)
-                col |= static_cast<std::uint32_t>(
-                           col_idx[static_cast<size_t>(k) *
-                                       static_cast<size_t>(
-                                           config.index_bytes) +
-                                   static_cast<size_t>(b)])
-                       << (8 * b);
-            const std::int64_t flat = r * config.row_width + col;
-            if (flat < offset || flat >= offset + len)
-                continue;
-            float value;
-            if (config.value_format == DprFormat::Fp32) {
-                value = values_f32[k];
-            } else {
-                values_dpr.decodeRange(static_cast<std::int64_t>(k),
-                                       { &value, 1 });
-            }
-            out[static_cast<size_t>(flat - offset)] = value;
+        const auto k0 =
+            static_cast<std::int64_t>(row_ptr[static_cast<size_t>(r)]);
+        const auto k1 =
+            static_cast<std::int64_t>(row_ptr[static_cast<size_t>(r + 1)]);
+        if (k0 == k1)
+            continue;
+        const float *row_vals = vals;
+        if (v.values_f32)
+            row_vals = v.values_f32 + k0;
+        else
+            csrValues(v, k0, k1, vals);
+        // out index of column 0 of row r (negative for a first row that
+        // starts before the range).
+        const std::int64_t base = r * v.row_width - offset;
+        for (std::int64_t k = k0; k < k1; ++k) {
+            const std::int64_t at = base + csrColAt(v, k);
+            if (static_cast<std::uint64_t>(at) <
+                static_cast<std::uint64_t>(len))
+                out[static_cast<size_t>(at)] = row_vals[k - k0];
         }
     }
 }

@@ -48,8 +48,8 @@ double csrBreakEvenSparsity(const CsrConfig &cfg);
 
 /**
  * Zero-copy read view of a CsrBuffer for fused consumers (gemmCsrA,
- * im2colFromCsr): they walk row_ptr/col_idx directly instead of paying a
- * decode-to-dense round trip. Valid only while the owning buffer holds
+ * the sparse conv dW route): they walk row_ptr/col_idx directly instead
+ * of paying a decode-to-dense round trip. Valid only while the owning buffer holds
  * its encoded contents.
  */
 struct CsrConstView

@@ -92,9 +92,10 @@ struct EncodedStash
     const DprBuffer *dpr = nullptr;
     const CsrBuffer *csr = nullptr;
     /**
-     * Consume the stash with the fused (decode-free) kernels instead of
-     * decodeRange into a per-image scratch buffer. Bitwise-identical to
-     * the scratch path; set by the executor from GistConfig.
+     * FC: consume the stash with the fused (decode-free) B-pack instead
+     * of decodeRange into a scratch buffer. Bitwise-identical to the
+     * scratch path; set by the executor from GistConfig. Conv decodes
+     * tile by tile either way; the bit only gates its sparse route.
      */
     bool fused = false;
     /**

@@ -1,5 +1,6 @@
 #include "layers/conv.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -105,6 +106,37 @@ sparseConvDw(const ConvGeometry &g, const CsrConstView &stash,
     });
 }
 
+/**
+ * db[oc] += sum_j dY_b[oc][j] for images b ascending: each (image, oc)
+ * row is summed left to right from +0, then added to db. Rows go eight
+ * at a time so that eight independent add chains hide the add latency;
+ * every chain keeps the order of a plain loop.
+ */
+void
+biasGrad(const float *dy, std::int64_t batch, std::int64_t out_c,
+         std::int64_t p, float *db)
+{
+    constexpr std::int64_t kRows = 8;
+    for (std::int64_t img = 0; img < batch; ++img) {
+        const float *dy_img = dy + img * out_c * p;
+        std::int64_t oc = 0;
+        for (; oc + kRows <= out_c; oc += kRows) {
+            float acc[kRows] = {};
+            for (std::int64_t j = 0; j < p; ++j)
+                for (std::int64_t i = 0; i < kRows; ++i)
+                    acc[i] += dy_img[(oc + i) * p + j];
+            for (std::int64_t i = 0; i < kRows; ++i)
+                db[oc + i] += acc[i];
+        }
+        for (; oc < out_c; ++oc) {
+            float acc = 0.0f;
+            for (std::int64_t j = 0; j < p; ++j)
+                acc += dy_img[oc * p + j];
+            db[oc] += acc;
+        }
+    }
+}
+
 } // namespace
 
 ConvLayer::ConvLayer(std::int64_t in_channels, ConvSpec spec)
@@ -196,25 +228,16 @@ ConvLayer::forward(const FwdCtx &ctx)
     last_in_shape = x.shape();
     const ConvGeometry g = geometry(x.shape());
     const std::int64_t batch = x.shape().n();
-    const std::int64_t k = g.colRows();
     const std::int64_t p = g.colCols();
     const std::int64_t out_c = spec_.out_channels;
-    // Step-scoped workspace: the im2col panel is rebuilt per image, so
-    // it lives in the arena frame instead of a persistent member.
-    ArenaScope scope;
-    float *col_scratch = scope.alloc<float>(static_cast<size_t>(k * p));
-
-    for (std::int64_t img = 0; img < batch; ++img) {
-        const float *x_img = x.data() + img * in_c * g.in_h * g.in_w;
-        float *y_img = y.data() + img * out_c * p;
-        im2col(g, x_img, col_scratch);
-        // Y (out_c x p) = W (out_c x k) * col (k x p)
-        gemm(false, false, out_c, p, k, 1.0f, weight.data(), col_scratch,
-             0.0f, y_img);
-        if (spec_.bias) {
+    // Y_b (out_c x p) = W (out_c x k) * col(X_b) for the whole batch in
+    // one implicit GEMM: no column matrix, only the GEMM's pack scratch.
+    gemmConv(g, batch, out_c, weight.data(), x.data(), y.data());
+    if (spec_.bias) {
+        for (std::int64_t img = 0; img < batch; ++img) {
             for (std::int64_t oc = 0; oc < out_c; ++oc) {
                 const float b = bias_.at(oc);
-                float *row = y_img + oc * p;
+                float *row = y.data() + (img * out_c + oc) * p;
                 for (std::int64_t j = 0; j < p; ++j)
                     row[j] += b;
             }
@@ -241,18 +264,22 @@ ConvLayer::backward(const BwdCtx &ctx)
     const std::int64_t k = g.colRows();
     const std::int64_t p = g.colCols();
     const std::int64_t out_c = spec_.out_channels;
-    ArenaScope scope;
-    float *col_scratch = scope.alloc<float>(static_cast<size_t>(k * p));
-    // "Optimized software": decode one image's stash at a time instead
-    // of a full FP32 buffer (paper Section V-H). With fused consumption
-    // the stash feeds the im2col tile loops directly and even this
-    // per-image scratch disappears from the arena frame.
     const bool sparse_dw =
         !x && x_enc.fused && x_enc.sparse_compute && x_enc.csr;
-    float *image_scratch = nullptr;
-    if (!x && !x_enc.fused)
-        image_scratch =
-            scope.alloc<float>(static_cast<size_t>(image_elems));
+    // "Optimized software" (paper Section V-H): an encoded stash is
+    // decoded one tile of images at a time, never to a full FP32
+    // buffer. The tile buffer holds k * p floats (at least one image)
+    // and doubles as dX's column-gradient scratch, so the tile size is
+    // fixed by the geometry: 9 images for a 3x3 stride-1 conv, 1 for a
+    // 1x1. A dense X is read in place, the whole batch as one tile.
+    const bool decode = !x && !sparse_dw;
+    const std::int64_t buf_elems = std::max(k * p, image_elems);
+    const std::int64_t tile = decode ? buf_elems / image_elems : batch;
+    ArenaScope scope;
+    // Without a decode the buffer is only dX's: it is taken after the
+    // dW GEMM, so that GEMM's pack scratch and it never share the frame.
+    float *buf = decode ? scope.alloc<float>(static_cast<size_t>(buf_elems))
+                        : nullptr;
     float *dw_t = nullptr;
     float *dy_t = nullptr;
     if (sparse_dw) {
@@ -266,55 +293,39 @@ ConvLayer::backward(const BwdCtx &ctx)
     if (spec_.bias)
         d_bias.setZero();
 
-    for (std::int64_t img = 0; img < batch; ++img) {
-        const float *dy_img = dy.data() + img * out_c * p;
-
+    for (std::int64_t t0 = 0; t0 < batch; t0 += tile) {
+        const std::int64_t t1 = std::min(batch, t0 + tile);
         if (sparse_dw) {
             // Row-sparse dW: dW^T[r] += v * dY^T[col] for every stored
             // nonzero's (r = c*kh*kw tap row, col = oh*ow position)
             // pair — compute scales with nnz instead of k * p.
-            sparseConvDw(g, x_enc.csr->view(), img * image_elems, out_c,
-                         dy_img, dy_t, dw_t);
+            for (std::int64_t img = t0; img < t1; ++img)
+                sparseConvDw(g, x_enc.csr->view(), img * image_elems,
+                             out_c, dy.data() + img * out_c * p, dy_t,
+                             dw_t);
         } else {
-            const float *x_img;
-            if (x) {
-                x_img = x->data() + img * image_elems;
-                im2col(g, x_img, col_scratch);
-            } else if (x_enc.fused && x_enc.csr) {
-                im2colFromCsr(g, x_enc.csr->view(), img * image_elems,
-                              col_scratch);
-            } else if (x_enc.fused && x_enc.dpr) {
-                im2colPacked(g, x_enc.dpr->packView(), img * image_elems,
-                             col_scratch);
-            } else {
-                x_enc.decodeRange(img * image_elems,
-                                  { image_scratch,
-                                    static_cast<size_t>(image_elems) });
-                im2col(g, image_scratch, col_scratch);
-            }
-            // dW += dY (out_c x p) * col^T (p x k)
-            gemm(false, true, out_c, k, p, 1.0f, dy_img, col_scratch,
-                 1.0f, d_weight.data());
+            if (decode)
+                x_enc.decodeRange(
+                    t0 * image_elems,
+                    { buf, static_cast<size_t>((t1 - t0) * image_elems) });
+            // dW += dY (out_c x tile*p) * col(X_tile)^T (tile*p x k)
+            gemmConvDw(g, t1 - t0, out_c, dy.data() + t0 * out_c * p,
+                       decode ? buf : x->data() + t0 * image_elems,
+                       d_weight.data());
         }
 
-        if (spec_.bias) {
-            for (std::int64_t oc = 0; oc < out_c; ++oc) {
-                const float *row = dy_img + oc * p;
-                float acc = 0.0f;
-                for (std::int64_t j = 0; j < p; ++j)
-                    acc += row[j];
-                d_bias.at(oc) += acc;
-            }
-        }
-
-        if (dx) {
-            // dcol (k x p) = W^T (k x out_c) * dY (out_c x p)
-            gemm(true, false, k, p, out_c, 1.0f, weight.data(), dy_img,
-                 0.0f, col_scratch);
-            float *dx_img = dx->data() + img * image_elems;
-            col2im(g, col_scratch, dx_img); // accumulates
+        if (dx && !buf)
+            buf = scope.alloc<float>(static_cast<size_t>(k * p));
+        for (std::int64_t img = t0; dx && img < t1; ++img) {
+            // dcol (k x p) = W^T (k x out_c) * dY (out_c x p), into the
+            // tile buffer the dW GEMM is done with.
+            gemm(true, false, k, p, out_c, 1.0f, weight.data(),
+                 dy.data() + img * out_c * p, 0.0f, buf);
+            col2im(g, buf, dx->data() + img * image_elems); // accumulates
         }
     }
+    if (spec_.bias)
+        biasGrad(dy.data(), batch, out_c, p, d_bias.data());
 
     if (sparse_dw) {
         // Fold the transposed accumulator back into d_weight's layout.

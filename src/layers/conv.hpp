@@ -1,8 +1,10 @@
 /**
  * @file
- * 2-D convolution via im2col + GEMM (the dataflow of GEMM-based cuDNN
- * algorithms). The im2col column buffer is the cuDNN-workspace analogue
- * accounted for in paper Figure 1.
+ * 2-D convolution as implicit GEMM (the dataflow of cuDNN's implicit-GEMM
+ * algorithm): forward and dW pack their operands straight from the
+ * image, so the column matrix is never formed. The one k x p buffer
+ * backward takes (encoded-stash tile, dX column gradient) is the
+ * cuDNN-workspace analogue accounted for in paper Figure 1.
  *
  * Backward needs: the stashed *input* feature map X (for the weight
  * gradient) and dY — paper Figure 4(d). This is why Binarize cannot apply

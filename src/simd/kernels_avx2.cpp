@@ -357,8 +357,10 @@ csrFillAvx2(const float *values, std::int64_t n, std::uint8_t *idx,
         alignas(32) float vtmp[256 + 8];
         std::uint8_t itmp[256 + 8];
         const std::int64_t k = csrFillAvx2(values, n, itmp, vtmp, true);
-        std::memcpy(out, vtmp, static_cast<size_t>(k) * sizeof(float));
-        std::memcpy(idx, itmp, static_cast<size_t>(k));
+        if (k > 0) { // an empty slice may come with null out/idx
+            std::memcpy(out, vtmp, static_cast<size_t>(k) * sizeof(float));
+            std::memcpy(idx, itmp, static_cast<size_t>(k));
+        }
         return k;
     }
     const CsrFillLutAvx2 &lut = csrFillLutAvx2();

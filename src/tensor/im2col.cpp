@@ -1,10 +1,6 @@
 #include "tensor/im2col.hpp"
 
-#include <cstring>
-
-#include "memory/arena.hpp"
 #include "obs/trace.hpp"
-#include "util/logging.hpp"
 #include "util/parallel.hpp"
 
 namespace gist {
@@ -48,146 +44,6 @@ im2col(const ConvGeometry &geom, const float *image, float *columns)
 }
 
 void
-im2colFromCsr(const ConvGeometry &geom, const CsrConstView &stash,
-              std::int64_t image_offset, float *columns)
-{
-    GIST_TRACE_SCOPE("compute", "im2col csr");
-    const std::int64_t out_h = geom.outH();
-    const std::int64_t out_w = geom.outW();
-    const std::int64_t p = out_h * out_w;
-    const std::int64_t kernel = geom.kernel_h * geom.kernel_w;
-    const std::int64_t plane = geom.in_h * geom.in_w;
-    GIST_ASSERT(image_offset >= 0 &&
-                    image_offset + geom.in_c * plane <= stash.numel,
-                "im2colFromCsr: image range outside stash");
-    // Channels own disjoint column-row bands, so the channel axis
-    // parallelizes race-free just like dense im2col's row axis. Two
-    // channels may share a boundary CSR row; each decodes it
-    // independently and keeps only its own flat range.
-    parallelFor(0, geom.in_c, 1,
-                [&, out_h, out_w, p](std::int64_t c0, std::int64_t c1) {
-        ArenaScope scope;
-        float *vals =
-            scope.alloc<float>(static_cast<size_t>(stash.row_width));
-        for (std::int64_t c = c0; c < c1; ++c) {
-            float *band = columns + c * kernel * p;
-            std::memset(band, 0,
-                        static_cast<size_t>(kernel * p) * sizeof(float));
-            const std::int64_t flat0 = image_offset + c * plane;
-            const std::int64_t r0 = flat0 / stash.row_width;
-            const std::int64_t r1 =
-                (flat0 + plane - 1) / stash.row_width;
-            for (std::int64_t r = r0; r <= r1; ++r) {
-                const auto k0 = static_cast<std::int64_t>(
-                    stash.row_ptr[static_cast<size_t>(r)]);
-                const auto k1 = static_cast<std::int64_t>(
-                    stash.row_ptr[static_cast<size_t>(r + 1)]);
-                if (k0 == k1)
-                    continue;
-                csrValues(stash, k0, k1, vals);
-                const std::int64_t row_base = r * stash.row_width;
-                for (std::int64_t kk = k0; kk < k1; ++kk) {
-                    const std::int64_t flat =
-                        row_base +
-                        static_cast<std::int64_t>(csrColAt(stash, kk));
-                    if (flat < flat0 || flat >= flat0 + plane)
-                        continue;
-                    const std::int64_t local = flat - flat0;
-                    const std::int64_t ih = local / geom.in_w;
-                    const std::int64_t iw = local % geom.in_w;
-                    // Write every stored value, even ones that decode
-                    // to +/-0.0 (DPR underflow keeps the sign bit), so
-                    // the column matrix is bitwise-identical to
-                    // decode-then-im2col.
-                    const float v = vals[kk - k0];
-                    for (std::int64_t kh = 0; kh < geom.kernel_h;
-                         ++kh) {
-                        const std::int64_t oh_num =
-                            ih + geom.pad_h - kh;
-                        if (oh_num < 0)
-                            break; // decreases with kh
-                        if (oh_num % geom.stride_h != 0)
-                            continue;
-                        const std::int64_t oh = oh_num / geom.stride_h;
-                        if (oh >= out_h)
-                            continue;
-                        for (std::int64_t kw = 0; kw < geom.kernel_w;
-                             ++kw) {
-                            const std::int64_t ow_num =
-                                iw + geom.pad_w - kw;
-                            if (ow_num < 0)
-                                break;
-                            if (ow_num % geom.stride_w != 0)
-                                continue;
-                            const std::int64_t ow =
-                                ow_num / geom.stride_w;
-                            if (ow >= out_w)
-                                continue;
-                            band[(kh * geom.kernel_w + kw) * p +
-                                 oh * out_w + ow] = v;
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
-void
-im2colPacked(const ConvGeometry &geom, const PackFn &pack,
-             std::int64_t image_offset, float *columns)
-{
-    GIST_TRACE_SCOPE("compute", "im2col packed");
-    const std::int64_t out_h = geom.outH();
-    const std::int64_t out_w = geom.outW();
-    const std::int64_t p = out_h * out_w;
-    const std::int64_t kernel = geom.kernel_h * geom.kernel_w;
-    parallelFor(0, geom.in_c, 1,
-                [&, out_h, out_w, p](std::int64_t c0, std::int64_t c1) {
-        ArenaScope scope;
-        float *strip =
-            scope.alloc<float>(static_cast<size_t>(geom.in_w));
-        for (std::int64_t c = c0; c < c1; ++c) {
-            float *band = columns + c * kernel * p;
-            // Zero first: (kh, oh) pairs whose input row falls outside
-            // the image are never visited by the strip loop below.
-            std::memset(band, 0,
-                        static_cast<size_t>(kernel * p) * sizeof(float));
-            for (std::int64_t ih = 0; ih < geom.in_h; ++ih) {
-                // One decode per input row, fanned out to every tap
-                // that reads it (dense im2col re-reads the row up to
-                // kernel_h * kernel_w times).
-                pack(image_offset + (c * geom.in_h + ih) * geom.in_w,
-                     strip, geom.in_w);
-                for (std::int64_t kh = 0; kh < geom.kernel_h; ++kh) {
-                    const std::int64_t oh_num = ih + geom.pad_h - kh;
-                    if (oh_num < 0)
-                        break; // decreases with kh
-                    if (oh_num % geom.stride_h != 0)
-                        continue;
-                    const std::int64_t oh = oh_num / geom.stride_h;
-                    if (oh >= out_h)
-                        continue;
-                    for (std::int64_t kw = 0; kw < geom.kernel_w;
-                         ++kw) {
-                        float *out_row =
-                            band + (kh * geom.kernel_w + kw) * p +
-                            oh * out_w;
-                        for (std::int64_t ow = 0; ow < out_w; ++ow) {
-                            const std::int64_t iw =
-                                ow * geom.stride_w - geom.pad_w + kw;
-                            out_row[ow] = (iw < 0 || iw >= geom.in_w)
-                                              ? 0.0f
-                                              : strip[iw];
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
-void
 col2im(const ConvGeometry &geom, const float *columns, float *image)
 {
     GIST_TRACE_SCOPE("compute", "col2im");
@@ -208,17 +64,30 @@ col2im(const ConvGeometry &geom, const float *columns, float *image)
                 for (std::int64_t kw = 0; kw < geom.kernel_w;
                      ++kw, ++row) {
                     const float *in_row = columns + row * (out_h * out_w);
+                    // The in-bounds ow of this (kh, kw) tap are the same
+                    // for every oh: iw = ow * stride_w + iw0.
+                    const std::int64_t iw0 = kw - geom.pad_w;
+                    const TapSpan ow_span =
+                        tapSpan(iw0, geom.stride_w, geom.in_w, out_w);
+                    const std::int64_t len = ow_span.hi - ow_span.lo;
+                    if (len == 0)
+                        continue;
                     for (std::int64_t oh = 0; oh < out_h; ++oh) {
                         const std::int64_t ih =
                             oh * geom.stride_h - geom.pad_h + kh;
                         if (ih < 0 || ih >= geom.in_h)
                             continue;
-                        float *img_row = img_plane + ih * geom.in_w;
-                        for (std::int64_t ow = 0; ow < out_w; ++ow) {
-                            const std::int64_t iw =
-                                ow * geom.stride_w - geom.pad_w + kw;
-                            if (iw >= 0 && iw < geom.in_w)
-                                img_row[iw] += in_row[oh * out_w + ow];
+                        const float *__restrict src =
+                            in_row + oh * out_w + ow_span.lo;
+                        float *__restrict dst = img_plane +
+                                                ih * geom.in_w + iw0 +
+                                                ow_span.lo * geom.stride_w;
+                        if (geom.stride_w == 1) {
+                            for (std::int64_t t = 0; t < len; ++t)
+                                dst[t] += src[t];
+                        } else {
+                            for (std::int64_t t = 0; t < len; ++t)
+                                dst[t * geom.stride_w] += src[t];
                         }
                     }
                 }

@@ -1,16 +1,16 @@
 /**
  * @file
- * im2col / col2im lowering for convolution. Matches the dataflow of
- * GEMM-based cuDNN convolution algorithms; the "column" buffer is the
- * analogue of the cuDNN workspace the paper accounts for.
+ * Convolution geometry and the im2col / col2im lowering. Conv forward
+ * and dW never write the column matrix: the implicit-GEMM entry points
+ * in tensor/gemm.hpp pack it straight from the image. col2im still
+ * folds dX's column gradient back into the image, and im2col is the
+ * reference those entry points are tested against.
  */
 
 #pragma once
 
 #include <cstdint>
 
-#include "encodings/csr.hpp"
-#include "tensor/pack.hpp"
 
 namespace gist {
 
@@ -42,6 +42,37 @@ struct ConvGeometry
 };
 
 /**
+ * Taps t in [lo, hi) of a run whose input index is i0 + t * stride fall
+ * inside [0, size); both ends are clamped to [0, len]. One window row of
+ * a convolution is such a run, so its in-bounds part is one contiguous
+ * (stride 1) or strided range with no per-element bounds test.
+ */
+struct TapSpan
+{
+    std::int64_t lo, hi;
+};
+
+inline TapSpan
+tapSpan(std::int64_t i0, std::int64_t stride, std::int64_t size,
+        std::int64_t len)
+{
+    auto clamp = [len](std::int64_t v) {
+        return v < 0 ? std::int64_t{ 0 } : (v > len ? len : v);
+    };
+    if (stride == 1) {
+        const std::int64_t lo = clamp(-i0);
+        const std::int64_t hi = clamp(size - i0);
+        return { lo, hi < lo ? lo : hi };
+    }
+    // First t with i0 + t * stride >= 0, first t with it >= size.
+    const std::int64_t lo =
+        clamp(i0 >= 0 ? 0 : (-i0 + stride - 1) / stride);
+    const std::int64_t end = size - i0;
+    const std::int64_t hi = clamp(end <= 0 ? 0 : (end + stride - 1) / stride);
+    return { lo, hi < lo ? lo : hi };
+}
+
+/**
  * Expand a single image (C x H x W, contiguous) into a column matrix of
  * shape colRows() x colCols(); out-of-bounds taps read as zero.
  */
@@ -52,27 +83,5 @@ void im2col(const ConvGeometry &geom, const float *image, float *columns);
  * buffer (which must be pre-zeroed by the caller).
  */
 void col2im(const ConvGeometry &geom, const float *columns, float *image);
-
-/**
- * im2col() reading one image directly from a CSR-encoded stash: the
- * columns of image number @p image_offset are zero-filled and every
- * stored nonzero is scattered to its (c, kh, kw) taps, so work scales
- * with nnz and the image is never decoded to a dense buffer. All stored
- * values are written — including lossy values that decode to +/-0.0 —
- * so the result is bitwise-identical to decodeRange + im2col().
- */
-void im2colFromCsr(const ConvGeometry &geom, const CsrConstView &stash,
-                   std::int64_t image_offset, float *columns);
-
-/**
- * im2col() with the image supplied by a pack callback (one image =
- * values [image_offset, image_offset + C*H*W) of the flat stash): each
- * input row is decoded once into a W-element strip and fanned out to
- * every (kh, kw) tap that reads it, replacing the dense per-image decode
- * buffer with an H*W-bytes-smaller strip. Bitwise-identical to
- * decodeRange + im2col().
- */
-void im2colPacked(const ConvGeometry &geom, const PackFn &pack,
-                  std::int64_t image_offset, float *columns);
 
 } // namespace gist

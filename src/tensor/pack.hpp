@@ -1,9 +1,9 @@
 /**
  * @file
  * Non-owning pack-source callable for fused operand consumption: the
- * hook gemmPackedB / im2colPacked use to pull an encoded stash's values
- * tile-by-tile straight into their pack buffers, so no dense FP32 copy
- * of the operand is ever materialized.
+ * hook gemmPackedB uses to pull an encoded stash's values tile-by-tile
+ * straight into its pack buffers, so no dense FP32 copy of the operand
+ * is ever materialized.
  */
 
 #pragma once

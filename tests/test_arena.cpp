@@ -268,6 +268,63 @@ TEST(ArenaSteadyState, ConvForwardBackwardMakesNoHeapAllocations)
         << (after - before) << " heap allocations in warm conv fwd+bwd";
 }
 
+TEST(ArenaSteadyState, ConvFrameIsTileBufferPlusPackScratch)
+{
+    if (!WorkspaceArena::instance().enabled())
+        GTEST_SKIP() << "GIST_ARENA=0";
+    Rng rng(9);
+    ConvLayer conv(8, ConvSpec::square(16, 3, 1, 1));
+    conv.initParams(rng);
+    const Shape in_shape = Shape::nchw(5, 8, 14, 14);
+    Tensor x = Tensor::randn(in_shape, rng);
+    for (std::int64_t i = 0; i < x.numel(); ++i)
+        x.at(i) = x.at(i) > 0.0f ? x.at(i) : 0.0f;
+    Tensor y = Tensor::zeros(conv.outputShape({ &in_shape, 1 }));
+    Tensor dy = Tensor::randn(y.shape(), rng);
+    Tensor dx = Tensor::zeros(in_shape);
+    CsrBuffer csr{ CsrConfig{} };
+    csr.encode(x.span());
+    DprBuffer dpr;
+    dpr.encode(DprFormat::Fp16, x.span());
+
+    // k * p floats of tile buffer (3x3 stride 1: more than one image)
+    // plus one GEMM's pack scratch — no column matrix, no decode buffer.
+    const std::size_t k = 8 * 9;
+    const std::size_t p = 14 * 14;
+    const std::size_t bound = k * p * sizeof(float) + kGemmPackScratchBytes;
+
+    const EncodedStash stashes[] = { {},
+                                     { nullptr, &csr, false, false },
+                                     { nullptr, &csr, true, false },
+                                     { &dpr, nullptr, false, false },
+                                     { &dpr, nullptr, true, false } };
+    for (const EncodedStash &stash : stashes) {
+        FwdCtx fwd;
+        fwd.inputs = { &x };
+        fwd.output = &y;
+        BwdCtx bwd;
+        bwd.inputs = { stash.valid() ? nullptr : &x };
+        bwd.encoded_inputs = { stash };
+        bwd.d_output = &dy;
+        bwd.d_inputs = { &dx };
+        for (int i = 0; i < 2; ++i) {
+            WorkspaceArena::instance().beginStep();
+            conv.forward(fwd);
+            conv.backward(bwd);
+        }
+        WorkspaceArena::instance().beginStep();
+        const std::uint64_t before = allocsNow();
+        conv.forward(fwd);
+        conv.backward(bwd);
+        const std::uint64_t after = allocsNow();
+        EXPECT_EQ(before, after) << (after - before)
+                                 << " heap allocations in warm conv fwd+bwd";
+        EXPECT_LE(WorkspaceArena::instance().stepHighWaterBytes(), bound)
+            << "stash " << (stash.csr ? "csr" : stash.dpr ? "dpr" : "dense")
+            << (stash.fused ? " fused" : "");
+    }
+}
+
 TEST(ArenaSteadyState, GemmWithAPackMakesNoHeapAllocations)
 {
     if (!WorkspaceArena::instance().enabled())

@@ -44,7 +44,6 @@
 #include "simd/dispatch.hpp"
 #include "simd/sf_codes.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/im2col.hpp"
 #include "util/rng.hpp"
 
 namespace gist {
@@ -604,74 +603,6 @@ TEST(FuzzFused, PackedGemmMatchesDecodeThenGemm)
                                     std::to_string(m) + " k=" +
                                     std::to_string(k) + " n=" +
                                     std::to_string(n) + ")";
-                     return "";
-                 };
-             });
-}
-
-TEST(FuzzFused, Im2colFusedMatchesDecodeThenIm2col)
-{
-    runCases("fused-im2col", 0xF5155553, 300,
-             [](Rng &rng, std::vector<float> &data) -> Property {
-                 ConvGeometry g;
-                 g.in_c = 1 + static_cast<std::int64_t>(rng.uniformInt(4));
-                 g.in_h = 1 + static_cast<std::int64_t>(rng.uniformInt(12));
-                 g.in_w = 1 + static_cast<std::int64_t>(rng.uniformInt(12));
-                 g.kernel_h = 1 + static_cast<std::int64_t>(
-                                      rng.uniformInt(3));
-                 g.kernel_w = 1 + static_cast<std::int64_t>(
-                                      rng.uniformInt(3));
-                 g.stride_h = 1 + static_cast<std::int64_t>(
-                                      rng.uniformInt(2));
-                 g.stride_w = 1 + static_cast<std::int64_t>(
-                                      rng.uniformInt(2));
-                 g.pad_h = static_cast<std::int64_t>(rng.uniformInt(2));
-                 g.pad_w = static_cast<std::int64_t>(rng.uniformInt(2));
-                 if (g.in_h + 2 * g.pad_h < g.kernel_h ||
-                     g.in_w + 2 * g.pad_w < g.kernel_w)
-                     g.kernel_h = g.kernel_w = 1; // keep output nonempty
-                 CsrConfig cfg;
-                 cfg.row_width =
-                     1 + static_cast<std::int64_t>(rng.uniformInt(256));
-                 if (rng.uniform() < 0.5)
-                     cfg.value_format = DprFormat::Fp16;
-                 const DprFormat dpr_fmt = rng.uniform() < 0.5
-                                               ? DprFormat::Fp16
-                                               : DprFormat::Fp10;
-                 const std::int64_t numel =
-                     g.in_c * g.in_h * g.in_w;
-                 data = genValues(rng, numel, pickSparsity(rng));
-                 return [g, cfg,
-                         dpr_fmt](const std::vector<float> &d) -> std::string {
-                     const size_t numel = static_cast<size_t>(
-                         g.in_c * g.in_h * g.in_w);
-                     if (d.size() != numel)
-                         return "";
-                     const size_t cols = static_cast<size_t>(
-                         g.colRows() * g.colCols());
-
-                     CsrBuffer csr(cfg);
-                     csr.encode({ d.data(), d.size() });
-                     std::vector<float> dense(numel);
-                     csr.decode(dense);
-                     std::vector<float> ref(cols, -1.0f);
-                     im2col(g, dense.data(), ref.data());
-                     std::vector<float> fused(cols, -2.0f);
-                     im2colFromCsr(g, csr.view(), 0, fused.data());
-                     for (size_t i = 0; i < cols; ++i)
-                         if (!bitEqual(ref[i], fused[i]))
-                             return "im2colFromCsr col[" +
-                                    std::to_string(i) + "] mismatch";
-
-                     DprBuffer dpr;
-                     dpr.encode(dpr_fmt, { d.data(), d.size() });
-                     dpr.decode(dense);
-                     im2col(g, dense.data(), ref.data());
-                     im2colPacked(g, dpr.packView(), 0, fused.data());
-                     for (size_t i = 0; i < cols; ++i)
-                         if (!bitEqual(ref[i], fused[i]))
-                             return "im2colPacked col[" +
-                                    std::to_string(i) + "] mismatch";
                      return "";
                  };
              });

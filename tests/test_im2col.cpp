@@ -1,11 +1,13 @@
 /**
  * @file
- * im2col/col2im tests: explicit small cases, and the adjoint property
- * <im2col(x), y> == <x, col2im(y)> which convolution backward relies on.
+ * im2col/col2im tests: explicit small cases, the adjoint property
+ * <im2col(x), y> == <x, col2im(y)> which convolution backward relies on,
+ * and col2im's accumulation order against the plain loop nest.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "tensor/im2col.hpp"
@@ -137,6 +139,68 @@ TEST(Col2im, AccumulatesOverlappingTaps)
     col2im(g, cols.data(), img.data());
     EXPECT_FLOAT_EQ(img[4], 4.0f); // center: 4 overlapping contributions
     EXPECT_FLOAT_EQ(img[0], 1.0f); // corner: 1 contribution
+}
+
+/** col2im as a per-element bounds test inside the full (kh, kw, oh, ow)
+ *  loop nest: the accumulation order col2im() must keep. */
+void
+col2imReference(const ConvGeometry &g, const float *columns, float *image)
+{
+    const std::int64_t out_h = g.outH();
+    const std::int64_t out_w = g.outW();
+    for (std::int64_t c = 0; c < g.in_c; ++c) {
+        float *plane = image + c * g.in_h * g.in_w;
+        std::int64_t row = c * g.kernel_h * g.kernel_w;
+        for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
+            for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row)
+                for (std::int64_t oh = 0; oh < out_h; ++oh) {
+                    const std::int64_t ih = oh * g.stride_h - g.pad_h + kh;
+                    if (ih < 0 || ih >= g.in_h)
+                        continue;
+                    for (std::int64_t ow = 0; ow < out_w; ++ow) {
+                        const std::int64_t iw =
+                            ow * g.stride_w - g.pad_w + kw;
+                        if (iw >= 0 && iw < g.in_w)
+                            plane[ih * g.in_w + iw] +=
+                                columns[row * out_h * out_w +
+                                        oh * out_w + ow];
+                    }
+                }
+    }
+}
+
+TEST(Col2im, BitwiseEqualsPerElementLoopNest)
+{
+    Rng rng(21);
+    for (const std::int64_t k : { 1, 3, 5 })
+        for (const std::int64_t stride : { 1, 2 })
+            for (const std::int64_t pad : { 0, 1, 2 }) {
+                ConvGeometry g;
+                g.in_c = 3;
+                g.in_h = 7;
+                g.in_w = 9;
+                g.kernel_h = k;
+                g.kernel_w = k == 5 ? 3 : k; // one non-square kernel
+                g.stride_h = g.stride_w = stride;
+                g.pad_h = g.pad_w = pad;
+                std::vector<float> cols(
+                    static_cast<size_t>(g.colRows() * g.colCols()));
+                for (auto &v : cols)
+                    v = rng.normal();
+                // Start from a nonzero image: col2im accumulates.
+                std::vector<float> want(
+                    static_cast<size_t>(g.in_c * g.in_h * g.in_w));
+                for (auto &v : want)
+                    v = rng.normal();
+                std::vector<float> got = want;
+                col2imReference(g, cols.data(), want.data());
+                col2im(g, cols.data(), got.data());
+                for (size_t i = 0; i < want.size(); ++i)
+                    ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(float)),
+                              0)
+                        << "k " << k << " stride " << stride << " pad "
+                        << pad << " element " << i;
+            }
 }
 
 } // namespace
