@@ -52,9 +52,8 @@ now()
  * Time fn: repetitions are grown until one pass exceeds ~80 ms, then
  * two more passes at that count take the best (min) seconds/call. A
  * single pass is one scheduler hiccup away from recording a phantom
- * regression on big kernels where one pass = one call (the
- * fused_csr_gemm speedup-0.886 artifact); the min across passes is
- * the standard noise filter.
+ * regression on big kernels where one pass = one call; the min across
+ * passes is the standard noise filter.
  */
 double
 timeIt(const std::function<void()> &fn)
@@ -346,23 +345,6 @@ main(int argc, char **argv)
                         enc.encode(v);
                         enc.decode({ static_cast<float *>(out),
                                      static_cast<size_t>(n) });
-                    });
-        }
-
-        // --- fused row-sparse GEMM over the CSR stash (deterministic
-        //     at any thread count like the dense path) ---
-        {
-            const std::int64_t gm = 256;
-            const std::int64_t gk = n / gm;
-            const std::int64_t gn = 128;
-            const auto bmat = randomDense(gk * gn, 9);
-            runPath("fused_csr_gemm", par,
-                    static_cast<double>(gm) * gk * sizeof(float),
-                    static_cast<size_t>(gm * gn) * sizeof(float),
-                    [&](void *out) {
-                        gist::gemmCsrA(gm, gn, gk, 1.0f, csr.view(),
-                                       bmat.data(), 0.0f,
-                                       static_cast<float *>(out));
                     });
         }
     }

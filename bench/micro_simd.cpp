@@ -251,29 +251,6 @@ main(int argc, char **argv)
                       std::memset(idx + k, 0,
                                   static_cast<size_t>(n - k));
                   });
-
-        // --- Fused row-sparse GEMM: CSR A operand consumed without a
-        //     dense decode (float accumulate: no bitwise contract). ---
-        {
-            const std::int64_t gm = 128;
-            const std::int64_t gk = 1 << 12;
-            const std::int64_t gn = 128;
-            gist::CsrBuffer a_enc{ gist::CsrConfig{} };
-            a_enc.encode({ sparse.data(),
-                           static_cast<size_t>(gm * gk) });
-            std::vector<float> bmat(
-                src.begin(), src.begin() + static_cast<size_t>(gk * gn));
-            std::vector<float> cmat(static_cast<size_t>(gm * gn));
-            runKernel("fused_csr_gemm",
-                      static_cast<double>(gm) * gk * sizeof(float), 0,
-                      [&](const SimdOps &o, void *) {
-                          setBackend(o.backend);
-                          gist::gemmCsrA(gm, gn, gk, 1.0f, a_enc.view(),
-                                         bmat.data(), 0.0f,
-                                         cmat.data());
-                      });
-            initFromEnv();
-        }
     }
 
     // --- GEMM register microkernel (float: no bitwise contract): one

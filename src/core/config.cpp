@@ -40,4 +40,30 @@ parseByteSize(const std::string &text)
     return static_cast<std::uint64_t>(scaled);
 }
 
+GistConfig
+resolveConfig(GistConfig config)
+{
+    if (const char *env = std::getenv("GIST_MEM_BUDGET"))
+        config.mem_budget_bytes = parseByteSize(env);
+    if (const char *env = std::getenv("GIST_DEVICE_POOL"))
+        config.device_pool_bytes = parseByteSize(env);
+    if (config.calibration_path.empty())
+        if (const char *env = std::getenv("GIST_CALIBRATION"))
+            config.calibration_path = env;
+    if (const char *env = std::getenv("GIST_TIER_PATH"))
+        config.tier_path = env;
+    if (const char *env = std::getenv("GIST_TIER_GBPS"))
+        config.tier_bandwidth_bytes_per_s = std::strtod(env, nullptr) * 1e9;
+    if (const char *env = std::getenv("GIST_ASYNC"))
+        config.async_codec = std::strtol(env, nullptr, 10) != 0;
+    if (const char *env = std::getenv("GIST_CODEC_THREADS")) {
+        const long v = std::strtol(env, nullptr, 10);
+        if (v >= 1)
+            config.codec_threads = static_cast<int>(v);
+        else
+            GIST_WARN("ignoring bad GIST_CODEC_THREADS value '", env, "'");
+    }
+    return config;
+}
+
 } // namespace gist

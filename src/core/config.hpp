@@ -7,6 +7,10 @@
  *   ReLU/Pool->Conv     -> SSDC              (lossless)
  *   other stashes       -> DPR               (lossy)
  *   immediately consumed-> inplace ReLU      (lossless)
+ *
+ * resolveConfig() is the one place that reads the GIST_* environment
+ * overrides of these fields; buildSchedule() calls it once and keeps
+ * the result as BuiltSchedule::config, the effective config.
  */
 
 #pragma once
@@ -38,28 +42,18 @@ struct GistConfig
     DprFormat dpr_format = DprFormat::Fp16;
     bool inplace_relu = false; ///< ReLU overwrites its (immediate) input
     /**
-     * "Optimized software" (Section V-H): the backward computation reads
-     * encoded data directly, so no FP32 decode buffer is materialized.
-     * Affects the memory plan only.
+     * "Optimized software" (Section V-H): conv and FC backward read
+     * their encoded stashed inputs piece by piece, so no full FP32
+     * decode buffer is materialized. The planner leaves that buffer out
+     * of its memory model, and applyToExecutor() turns the chunked reads
+     * on (Executor::setElideDecode). Results are bitwise the same.
      */
     bool elide_decode_buffer = false;
     /**
-     * Fused consumption: conv/FC backward pull encoded stashes straight
-     * into the im2col tile loops / the GEMM B-pack, deleting the
-     * per-image decode scratch from the arena frame. Bitwise-identical
-     * to the scratch path and a no-op unless elide_decode_buffer is on.
-     * The GIST_FUSED environment variable (0/1/2) overrides this in
-     * applyToExecutor().
+     * Ignored; kept so perfbench compiles. Remove with the next
+     * benchmark change.
      */
     bool fused_consume = true;
-    /**
-     * Measured sparsity at or above which a fused CSR stash is consumed
-     * by the row-sparse GEMM (compute ~ nnz) instead of the bitwise
-     * fused im2col. Values > 1 disable the sparse route (the default:
-     * its float results are tolerance- rather than bitwise-equal);
-     * GIST_FUSED=2 lowers it to 0.5.
-     */
-    double sparse_gemm_threshold = 2.0;
     /** CSR layout (narrow 1-byte indices by default). */
     CsrConfig csr{};
     /**
@@ -76,13 +70,13 @@ struct GistConfig
      * decodes one backward node ahead, so codec time overlaps compute
      * instead of landing on the critical path. Lossless configs stay
      * bitwise-identical to sync runs. Default off (the sync fallback);
-     * the GIST_ASYNC environment variable (0/1) overrides this in
-     * applyToExecutor().
+     * the GIST_ASYNC environment variable (0/1) overrides it.
      */
     bool async_codec = false;
     /**
      * Dedicated codec-queue worker threads when async_codec is on
-     * (clamped to >= 1). GIST_CODEC_THREADS overrides.
+     * (clamped to >= 1). GIST_CODEC_THREADS overrides it; a value
+     * below 1 is ignored with a warning.
      */
     int codec_threads = 1;
     /**
@@ -112,15 +106,15 @@ struct GistConfig
      * by the binarize/ssdc/dpr flags — minimizing estimated step time
      * subject to the modeled peak staying at or under the budget. The
      * GIST_MEM_BUDGET environment variable (bytes, k/m/g suffixes)
-     * overrides this in buildSchedule().
+     * overrides it.
      */
     std::uint64_t mem_budget_bytes = 0;
     /**
      * calibration.json (written by tools/gist_calibrate) used to price
      * the hybrid planner's choices with this host's measured kernel
-     * costs. Empty consults GIST_CALIBRATION; when neither yields a
-     * table the planner falls back to the static roofline model
-     * (perf/gpu_model.hpp).
+     * costs. Only when empty does GIST_CALIBRATION fill it; when
+     * neither yields a table the planner falls back to the static
+     * roofline model (perf/gpu_model.hpp).
      */
     std::string calibration_path;
     /**
@@ -130,13 +124,13 @@ struct GistConfig
      * the pool's slow tier through the codec workers and prefetched
      * back before their backward reads (memory/device_pool.hpp). Also
      * unlocks the planner's per-slot "swap" choice. GIST_DEVICE_POOL
-     * (bytes, k/m/g suffixes) overrides in buildSchedule().
+     * (bytes, k/m/g suffixes) overrides it.
      */
     std::uint64_t device_pool_bytes = 0;
     /**
      * Slow-tier spill directory. Non-empty uses a file-backed tier
      * (one file per evicted slot); empty uses the in-memory tier.
-     * GIST_TIER_PATH overrides in applyToExecutor().
+     * GIST_TIER_PATH overrides it.
      */
     std::string tier_path;
     /**
@@ -144,7 +138,7 @@ struct GistConfig
      * in-memory tier (deterministic stall experiments) and prices the
      * planner's swap choice. 0 = unthrottled transfers priced at the
      * PCIe bandwidth of the roofline model. GIST_TIER_GBPS (in GB/s)
-     * overrides in applyToExecutor().
+     * overrides it.
      */
     double tier_bandwidth_bytes_per_s = 0.0;
 
@@ -173,5 +167,17 @@ struct GistConfig
         return cfg;
     }
 };
+
+/**
+ * @p config with every GIST_* environment override applied:
+ * GIST_MEM_BUDGET, GIST_DEVICE_POOL, GIST_TIER_PATH, GIST_TIER_GBPS,
+ * GIST_ASYNC and GIST_CODEC_THREADS replace their field when set;
+ * GIST_CALIBRATION fills calibration_path only when it is empty. A
+ * malformed byte size is fatal (parseByteSize); a GIST_CODEC_THREADS
+ * below 1 warns and keeps the config value. The process-wide knobs
+ * (GIST_THREADS, GIST_SIMD, GIST_ARENA, GIST_TRACE, GIST_METRICS,
+ * GIST_MEMPROF) are not config fields and are read at their first use.
+ */
+GistConfig resolveConfig(GistConfig config);
 
 } // namespace gist

@@ -1,7 +1,6 @@
 #include "core/schedule_builder.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/planner.hpp"
@@ -30,7 +29,7 @@ BuiltSchedule
 buildSchedule(Graph &graph, const GistConfig &config)
 {
     BuiltSchedule built;
-    built.config = config;
+    built.config = resolveConfig(config);
     built.decisions.assign(static_cast<size_t>(graph.numNodes()), {});
 
     const auto categories = classifyStashes(graph);
@@ -116,22 +115,11 @@ buildSchedule(Graph &graph, const GistConfig &config)
     }
 
     // Memory budget: hand every stash slot to the hybrid planner, which
-    // re-chooses the representations (keep / CSR / DPR / recompute)
-    // against the budget. GIST_MEM_BUDGET overrides the config so
-    // benchmarks sweep budgets without a rebuild.
-    std::uint64_t budget = config.mem_budget_bytes;
-    if (const char *env = std::getenv("GIST_MEM_BUDGET"))
-        budget = parseByteSize(env);
-    // Device pool cap (the bounded "device" the swap tier sits behind).
-    // Resolved here so the hybrid planner sees it: a nonzero cap makes
-    // Swap an eligible per-slot choice.
-    if (const char *env = std::getenv("GIST_DEVICE_POOL"))
-        built.config.device_pool_bytes = parseByteSize(env);
+    // re-chooses the representations (keep / CSR / DPR / recompute, and
+    // swap when a device pool cap is set) against the budget.
+    const std::uint64_t budget = built.config.mem_budget_bytes;
     if (budget > 0) {
-        std::string cal_path = config.calibration_path;
-        if (cal_path.empty())
-            if (const char *env = std::getenv("GIST_CALIBRATION"))
-                cal_path = env;
+        const std::string &cal_path = built.config.calibration_path;
         obs::CalibrationTable table;
         bool have_table = false;
         if (!cal_path.empty()) {
@@ -241,9 +229,7 @@ applyToExecutor(const BuiltSchedule &schedule, Executor &exec)
     }
     // Bounded device: attach the pool + slow tier whenever a cap is set
     // or the plan contains swap slots (a pure-swap plan still needs the
-    // tier even on an unbounded device). Env overrides let benchmarks
-    // redirect the tier without a rebuild; the cap itself was resolved
-    // in buildSchedule() so the planner and executor agree on it.
+    // tier even on an unbounded device).
     {
         bool any_swap = false;
         for (const auto &decision : schedule.decisions)
@@ -253,50 +239,17 @@ applyToExecutor(const BuiltSchedule &schedule, Executor &exec)
             pc.registry = &exec.registry();
             pc.cap_bytes = schedule.config.device_pool_bytes;
             pc.tier_path = schedule.config.tier_path;
-            if (const char *env = std::getenv("GIST_TIER_PATH"))
-                pc.tier_path = env;
             pc.tier_bytes_per_second =
                 schedule.config.tier_bandwidth_bytes_per_s;
-            if (const char *env = std::getenv("GIST_TIER_GBPS"))
-                pc.tier_bytes_per_second =
-                    std::strtod(env, nullptr) * 1e9;
             exec.setDevicePool(std::make_shared<DevicePool>(pc));
         } else {
             exec.setDevicePool(nullptr);
         }
     }
     exec.setElideDecode(schedule.config.elide_decode_buffer);
-    // Fused consumption: config value, overridable by GIST_FUSED.
-    // 0 = decode-to-scratch path, 1 = fused (bitwise), 2 = fused plus
-    // the row-sparse GEMM route at >= 50% measured sparsity
-    // (tolerance-gated opt-in).
-    bool fused_consume = schedule.config.fused_consume;
-    double sparse_thr = schedule.config.sparse_gemm_threshold;
-    if (const char *env = std::getenv("GIST_FUSED")) {
-        const long v = std::strtol(env, nullptr, 10);
-        fused_consume = v != 0;
-        if (v >= 2 && sparse_thr > 1.0)
-            sparse_thr = 0.5;
-    }
-    exec.setFusedConsume(fused_consume);
-    exec.setSparseGemmThreshold(sparse_thr);
     exec.setNumThreads(schedule.config.num_threads);
-    // Async codec pipeline: config value, overridable by GIST_ASYNC so
-    // benchmarks flip modes without a rebuild. The env override lives
-    // here (config layer) on purpose: tests drive Executor::setAsyncCodec
-    // directly for side-by-side sync/async comparisons.
-    bool async_codec = schedule.config.async_codec;
-    if (const char *env = std::getenv("GIST_ASYNC"))
-        async_codec = std::strtol(env, nullptr, 10) != 0;
-    int codec_threads = schedule.config.codec_threads;
-    if (const char *env = std::getenv("GIST_CODEC_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            codec_threads = static_cast<int>(v);
-        else
-            GIST_WARN("ignoring bad GIST_CODEC_THREADS value '", env, "'");
-    }
-    exec.setAsyncCodec(async_codec, codec_threads);
+    exec.setAsyncCodec(schedule.config.async_codec,
+                       schedule.config.codec_threads);
     if (!schedule.config.trace_path.empty())
         obs::traceStart(schedule.config.trace_path);
     if (!schedule.config.metrics_path.empty())

@@ -63,7 +63,10 @@ struct HybridPlan
     std::vector<HybridSlot> slots;        ///< one per stash slot
 };
 
-/** The rewritten schedule: per-node decisions plus the config used. */
+/**
+ * The rewritten schedule: per-node decisions plus the effective config
+ * (the caller's config with resolveConfig()'s env overrides applied).
+ */
 struct BuiltSchedule
 {
     GistConfig config;
@@ -99,12 +102,15 @@ std::string hybridPlanJson(const BuiltSchedule &schedule);
  * Apply @p config to @p graph: set layer modes (mutates ReLU/MaxPool
  * layers) and compute per-node decisions. Call with the graph in
  * baseline mode or any previous mode; modes are (re)set absolutely.
+ * The environment overrides are read here, once (resolveConfig()).
  */
 BuiltSchedule buildSchedule(Graph &graph, const GistConfig &config);
 
 /**
  * Install the runtime side of @p schedule on an executor: StashPlans for
- * CSR/DPR nodes (layer modes were already set by buildSchedule).
+ * CSR/DPR nodes (layer modes were already set by buildSchedule), the
+ * device pool, elide, threads and the async codec, all read from
+ * schedule.config alone.
  */
 void applyToExecutor(const BuiltSchedule &schedule, Executor &exec);
 

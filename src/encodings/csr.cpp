@@ -57,6 +57,20 @@ csrBytes(const CsrConfig &cfg, std::int64_t numel, std::int64_t nnz)
            (rows + 1) * 4;
 }
 
+/** Column of the @p k-th stored entry: @p index_bytes bytes, LE. */
+inline std::uint32_t
+colAt(const std::uint8_t *col_idx, int index_bytes, std::int64_t k)
+{
+    std::uint32_t col = 0;
+    for (int b = 0; b < index_bytes; ++b)
+        col |= static_cast<std::uint32_t>(
+                   col_idx[static_cast<size_t>(k) *
+                               static_cast<size_t>(index_bytes) +
+                           static_cast<size_t>(b)])
+               << (8 * b);
+    return col;
+}
+
 } // namespace
 
 std::uint64_t
@@ -221,36 +235,6 @@ CsrBuffer::encode(std::span<const float> values)
                       { nz, static_cast<size_t>(nnz_) });
 }
 
-CsrConstView
-CsrBuffer::view() const
-{
-    CsrConstView v;
-    v.row_ptr = row_ptr.data();
-    v.col_idx = col_idx.data();
-    if (config.value_format == DprFormat::Fp32)
-        v.values_f32 = values_f32.data();
-    else
-        v.values_dpr = &values_dpr;
-    v.rows = static_cast<std::int64_t>(row_ptr.size()) - 1;
-    v.row_width = config.row_width;
-    v.index_bytes = config.index_bytes;
-    v.numel = numel_;
-    v.nnz = nnz_;
-    return v;
-}
-
-void
-csrValues(const CsrConstView &v, std::int64_t k0, std::int64_t k1,
-          float *out)
-{
-    if (v.values_f32)
-        std::memcpy(out, v.values_f32 + k0,
-                    static_cast<size_t>(k1 - k0) * sizeof(float));
-    else
-        v.values_dpr->decodeRange(
-            k0, { out, static_cast<size_t>(k1 - k0) });
-}
-
 void
 CsrBuffer::decode(std::span<float> out) const
 {
@@ -283,18 +267,11 @@ CsrBuffer::decode(std::span<float> out) const
         for (std::int64_t r = r0; r < r1; ++r) {
             const std::uint32_t begin = row_ptr[static_cast<size_t>(r)];
             const std::uint32_t end = row_ptr[static_cast<size_t>(r + 1)];
-            for (std::uint32_t k = begin; k < end; ++k) {
-                std::uint32_t col = 0;
-                for (int b = 0; b < config.index_bytes; ++b)
-                    col |= static_cast<std::uint32_t>(
-                               col_idx[static_cast<size_t>(k) *
-                                           static_cast<size_t>(
-                                               config.index_bytes) +
-                                       static_cast<size_t>(b)])
-                           << (8 * b);
-                out[static_cast<size_t>(r * config.row_width + col)] =
+            for (std::uint32_t k = begin; k < end; ++k)
+                out[static_cast<size_t>(
+                    r * config.row_width +
+                    colAt(col_idx.data(), config.index_bytes, k))] =
                     vals[k];
-            }
         }
     });
 }
@@ -312,13 +289,13 @@ CsrBuffer::decodeRange(std::int64_t offset, std::span<float> out) const
 
     // Row by row: the values of a row's stored entries come out in one
     // batch (one DPR run decode for packed values), then scatter.
-    const CsrConstView v = view();
+    const bool f32 = config.value_format == DprFormat::Fp32;
     ArenaScope scope;
-    float *vals = v.values_f32
-                      ? nullptr
-                      : scope.alloc<float>(static_cast<size_t>(v.row_width));
-    const std::int64_t first_row = offset / v.row_width;
-    const std::int64_t last_row = (offset + len - 1) / v.row_width;
+    float *vals = f32 ? nullptr
+                      : scope.alloc<float>(
+                            static_cast<size_t>(config.row_width));
+    const std::int64_t first_row = offset / config.row_width;
+    const std::int64_t last_row = (offset + len - 1) / config.row_width;
     for (std::int64_t r = first_row; r <= last_row; ++r) {
         const auto k0 =
             static_cast<std::int64_t>(row_ptr[static_cast<size_t>(r)]);
@@ -327,15 +304,17 @@ CsrBuffer::decodeRange(std::int64_t offset, std::span<float> out) const
         if (k0 == k1)
             continue;
         const float *row_vals = vals;
-        if (v.values_f32)
-            row_vals = v.values_f32 + k0;
+        if (f32)
+            row_vals = values_f32.data() + k0;
         else
-            csrValues(v, k0, k1, vals);
+            values_dpr.decodeRange(
+                k0, { vals, static_cast<size_t>(k1 - k0) });
         // out index of column 0 of row r (negative for a first row that
         // starts before the range).
-        const std::int64_t base = r * v.row_width - offset;
+        const std::int64_t base = r * config.row_width - offset;
         for (std::int64_t k = k0; k < k1; ++k) {
-            const std::int64_t at = base + csrColAt(v, k);
+            const std::int64_t at =
+                base + colAt(col_idx.data(), config.index_bytes, k);
             if (static_cast<std::uint64_t>(at) <
                 static_cast<std::uint64_t>(len))
                 out[static_cast<size_t>(at)] = row_vals[k - k0];

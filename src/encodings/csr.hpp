@@ -46,43 +46,6 @@ std::uint64_t csrBytesForSparsity(const CsrConfig &cfg, std::int64_t numel,
 /** Sparsity above which CSR is smaller than dense FP32 (the break-even). */
 double csrBreakEvenSparsity(const CsrConfig &cfg);
 
-/**
- * Zero-copy read view of a CsrBuffer for fused consumers (gemmCsrA,
- * the sparse conv dW route): they walk row_ptr/col_idx directly instead
- * of paying a decode-to-dense round trip. Valid only while the owning buffer holds
- * its encoded contents.
- */
-struct CsrConstView
-{
-    const std::uint32_t *row_ptr = nullptr; ///< rows + 1 offsets
-    const std::uint8_t *col_idx = nullptr;  ///< index_bytes each, LE
-    const float *values_f32 = nullptr;      ///< null when DPR-packed
-    const DprBuffer *values_dpr = nullptr;  ///< null when FP32 values
-    std::int64_t rows = 0;
-    std::int64_t row_width = 0;
-    int index_bytes = 1;
-    std::int64_t numel = 0;
-    std::int64_t nnz = 0;
-};
-
-/** Column of the @p k-th nonzero (its in-row index). */
-inline std::uint32_t
-csrColAt(const CsrConstView &v, std::int64_t k)
-{
-    std::uint32_t col = 0;
-    for (int b = 0; b < v.index_bytes; ++b)
-        col |= static_cast<std::uint32_t>(
-                   v.col_idx[static_cast<size_t>(k) *
-                                 static_cast<size_t>(v.index_bytes) +
-                             static_cast<size_t>(b)])
-               << (8 * b);
-    return col;
-}
-
-/** Decode the nonzero-value slice [k0, k1) of @p v into @p out. */
-void csrValues(const CsrConstView &v, std::int64_t k0, std::int64_t k1,
-               float *out);
-
 /** A CSR-encoded (flattened) feature map. */
 class CsrBuffer
 {
@@ -113,9 +76,6 @@ class CsrBuffer
     double compressionRatio() const;
 
     const CsrConfig &cfg() const { return config; }
-
-    /** Read view for fused (decode-free) consumers. */
-    CsrConstView view() const;
 
     /**
      * Swap in a new layout while keeping the allocated storage, so the

@@ -35,20 +35,6 @@ const char *dprFormatName(DprFormat fmt);
 /** Encoded size in bytes for @p numel values. */
 std::uint64_t dprEncodedBytes(DprFormat fmt, std::int64_t numel);
 
-class DprBuffer;
-
-/**
- * Non-owning pack-callback view of a DprBuffer: fused consumers (GEMM
- * B-tile packing, im2col strip decode) pull value ranges straight into
- * their pack buffers instead of ever materializing the full dense FP32
- * copy. Decoded values are bitwise-identical to decode()'s.
- */
-struct DprPackView
-{
-    const DprBuffer *buf = nullptr;
-    void operator()(std::int64_t offset, float *dst, std::int64_t n) const;
-};
-
 /** A DPR-encoded buffer. */
 class DprBuffer
 {
@@ -78,9 +64,6 @@ class DprBuffer
      * instead of materializing the full FP32 buffer.
      */
     void decodeRange(std::int64_t offset, std::span<float> out) const;
-
-    /** Pack-callback view over decodeRange for fused consumers. */
-    DprPackView packView() const { return { this }; }
 
     std::int64_t numel() const { return numel_; }
     DprFormat format() const { return format_; }
@@ -113,13 +96,6 @@ class DprBuffer
     std::int64_t numel_ = 0;
     std::vector<std::uint32_t> words;
 };
-
-inline void
-DprPackView::operator()(std::int64_t offset, float *dst,
-                        std::int64_t n) const
-{
-    buf->decodeRange(offset, { dst, static_cast<size_t>(n) });
-}
 
 /** Quantize in place: x <- decode(encode(x)). Used by the All-FP16 arm. */
 void dprQuantizeInPlace(DprFormat fmt, std::span<float> values);

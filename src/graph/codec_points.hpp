@@ -30,9 +30,10 @@ struct DecodeTarget
 {
     NodeId slot = -1;
     /**
-     * True when the consumer could read the slot's encoding tile-by-tile
-     * instead (conv backward under elide_decode): the executor skips the
-     * decode prefetch for these and joins the encode ticket instead.
+     * True when the consumer could read the slot's encoding piece by
+     * piece instead (conv or FC backward under elide_decode): the
+     * executor skips the decode prefetch for these and joins the encode
+     * ticket instead.
      */
     bool chunkable = false;
 };

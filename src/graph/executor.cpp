@@ -715,8 +715,7 @@ Executor::chunkedReader(NodeId consumer) const
     if (!elide_decode)
         return false;
     const LayerKind kind = graph_.node(consumer).kind();
-    return kind == LayerKind::Conv ||
-           (fused_consume && kind == LayerKind::Fc);
+    return kind == LayerKind::Conv || kind == LayerKind::Fc;
 }
 
 void
@@ -1149,8 +1148,7 @@ Executor::runMinibatch(const Tensor &input,
         if (needs.output)
             ensureRecomputed(id, graph_.bwdStep(id));
         // Can this consumer read the encoded stash tile-by-tile instead
-        // of forcing a full decode? (Conv backward always supports it;
-        // FC only via the fused GEMM B-pack.)
+        // of forcing a full decode? (Conv and FC backward both can.)
         auto chunked_ok = [&](NodeId in) {
             const auto &in_st = states[static_cast<size_t>(in)];
             return chunkedReader(id) &&
@@ -1208,24 +1206,10 @@ Executor::runMinibatch(const Tensor &input,
                     : nullptr);
             EncodedStash stash;
             if (needs.input && chunked_ok(in)) {
-                if (planUsesCsr(in_st.plan)) {
+                if (planUsesCsr(in_st.plan))
                     stash.csr = &in_st.csr;
-                    // Route through the row-sparse GEMM only when the
-                    // measured sparsity clears the opt-in threshold —
-                    // that path trades bitwise identity for
-                    // nnz-proportional compute.
-                    const std::int64_t numel = in_st.csr.numel();
-                    if (numel > 0 && sparse_gemm_threshold <= 1.0) {
-                        const double sparsity =
-                            1.0 - static_cast<double>(in_st.csr.nnz()) /
-                                      static_cast<double>(numel);
-                        stash.sparse_compute =
-                            sparsity >= sparse_gemm_threshold;
-                    }
-                } else {
+                else
                     stash.dpr = &in_st.dpr;
-                }
-                stash.fused = fused_consume;
             }
             ctx.encoded_inputs.push_back(stash);
         }

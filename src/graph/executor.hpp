@@ -170,29 +170,14 @@ class Executor
     void setProfile(bool on) { profile = on; }
 
     /**
-     * "Optimized software" (paper Section V-H): convolution backward
-     * consumes DPR-encoded stashed inputs tile-by-tile instead of
-     * materializing a full FP32 decode buffer.
+     * "Optimized software" (paper Section V-H): conv and FC backward
+     * read their encoded (CSR or DPR) stashed inputs piece by piece
+     * instead of materializing a full FP32 decode buffer. Conv decodes
+     * a tile of images ahead of gemmConvDw, FC one KC slice inside
+     * gemmPackedB's B pack; both are bitwise-identical to a full decode.
+     * Usually set via GistConfig::elide_decode_buffer.
      */
     void setElideDecode(bool on) { elide_decode = on; }
-
-    /**
-     * Fused consumption: conv/FC backward feed the encoded stash
-     * straight into the im2col tile loops / the GEMM B-pack instead of
-     * decodeRange into per-image scratch, deleting that arena
-     * allocation. Bitwise-identical to the scratch path; requires
-     * elide-decode to take effect. Usually set via
-     * GistConfig::fused_consume / GIST_FUSED.
-     */
-    void setFusedConsume(bool on) { fused_consume = on; }
-
-    /**
-     * Sparsity at or above which a fused CSR stash is consumed by the
-     * row-sparse GEMM route (compute ~ nnz). Float results are
-     * tolerance- rather than bitwise-equal to the dense path, so the
-     * default (2.0) disables it; GIST_FUSED=2 opts in at 0.5.
-     */
-    void setSparseGemmThreshold(double t) { sparse_gemm_threshold = t; }
 
     /**
      * Asynchronous codec pipeline: submit each stash encode to the
@@ -489,8 +474,6 @@ class Executor
     bool collect_sparsity = false;
     bool profile = false;
     bool elide_decode = false;
-    bool fused_consume = false;
-    double sparse_gemm_threshold = 2.0;
     bool async_codec = false;
     /** Minibatch input of the in-flight runMinibatch, for replaying an
      *  Input-node stash (the cheapest possible recompute: a memcpy). */

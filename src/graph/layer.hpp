@@ -85,26 +85,15 @@ struct FwdCtx
  */
 /**
  * A handle to an encoded (DPR or CSR) stash that consumers can decode
- * tile-by-tile without materializing the full FP32 buffer.
+ * tile-by-tile without materializing the full FP32 buffer. There is one
+ * way to consume it: decodeRange into the dense kernel's own operand
+ * (conv: a tile of images ahead of gemmConvDw; FC: a KC slice inside
+ * gemmPackedB's B pack), so results are bitwise those of a full decode.
  */
 struct EncodedStash
 {
     const DprBuffer *dpr = nullptr;
     const CsrBuffer *csr = nullptr;
-    /**
-     * FC: consume the stash with the fused (decode-free) B-pack instead
-     * of decodeRange into a scratch buffer. Bitwise-identical to the
-     * scratch path; set by the executor from GistConfig. Conv decodes
-     * tile by tile either way; the bit only gates its sparse route.
-     */
-    bool fused = false;
-    /**
-     * Additionally route CSR stashes through the row-sparse GEMM so
-     * compute scales with nnz. Opt-in (GIST_FUSED=2): float results are
-     * tolerance- rather than bitwise-equal to the dense path because the
-     * accumulation order differs.
-     */
-    bool sparse_compute = false;
 
     bool valid() const { return dpr || csr; }
 

@@ -1,13 +1,9 @@
 #include "layers/fc.hpp"
 
 #include <cmath>
-#include <cstring>
 
-#include "memory/arena.hpp"
-#include "simd/dispatch.hpp"
 #include "tensor/gemm.hpp"
 #include "util/logging.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace gist {
@@ -84,58 +80,6 @@ FcLayer::forward(const FwdCtx &ctx)
 }
 
 void
-FcLayer::sparseFcDw(const CsrConstView &stash, std::int64_t batch,
-                    const float *dy)
-{
-    GIST_ASSERT(stash.numel == batch * in_features,
-                "fc stash holds ", stash.numel, " values, expected ",
-                batch * in_features);
-    const std::int64_t out = out_features;
-    const std::int64_t in = in_features;
-    ArenaScope scope;
-    // Accumulate dW^T (in x out) so each nonzero contributes one
-    // contiguous axpy over output features: dW^T[i] += v * dY[b] for a
-    // stored X[b][i] = v. Output-feature slices are race-free parallel
-    // units; every slice walks the nonzeros in the same ascending flat
-    // order, so results are thread-count independent.
-    float *dw_t = scope.alloc<float>(static_cast<size_t>(in * out));
-    std::memset(dw_t, 0, static_cast<size_t>(in * out) * sizeof(float));
-    parallelFor(0, out, chooseGrain(out, 64),
-                [&](std::int64_t jc0, std::int64_t jc1) {
-        ArenaScope inner;
-        float *vals =
-            inner.alloc<float>(static_cast<size_t>(stash.row_width));
-        const auto axpy = simd::ops().axpy;
-        const std::int64_t nc = jc1 - jc0;
-        for (std::int64_t r = 0; r < stash.rows; ++r) {
-            const auto k0 = static_cast<std::int64_t>(
-                stash.row_ptr[static_cast<size_t>(r)]);
-            const auto k1 = static_cast<std::int64_t>(
-                stash.row_ptr[static_cast<size_t>(r + 1)]);
-            if (k0 == k1)
-                continue;
-            csrValues(stash, k0, k1, vals);
-            const std::int64_t row_base = r * stash.row_width;
-            for (std::int64_t kk = k0; kk < k1; ++kk) {
-                const float v = vals[kk - k0];
-                if (v == 0.0f)
-                    continue;
-                const std::int64_t flat =
-                    row_base +
-                    static_cast<std::int64_t>(csrColAt(stash, kk));
-                const std::int64_t b = flat / in;
-                const std::int64_t i = flat % in;
-                axpy(nc, v, dy + b * out + jc0, dw_t + i * out + jc0);
-            }
-        }
-    });
-    float *dw = d_weight.data();
-    for (std::int64_t oc = 0; oc < out; ++oc)
-        for (std::int64_t i = 0; i < in; ++i)
-            dw[oc * in + i] = dw_t[i * out + oc];
-}
-
-void
 FcLayer::backward(const BwdCtx &ctx)
 {
     const Tensor *x = ctx.inputs.empty() ? nullptr : ctx.inputs[0];
@@ -151,9 +95,7 @@ FcLayer::backward(const BwdCtx &ctx)
         // dW = dY^T (out x batch) * X (batch x in)
         gemm(true, false, out_features, in_features, batch, 1.0f,
              dy.data(), x->data(), 0.0f, d_weight.data());
-    } else if (x_enc.fused && x_enc.sparse_compute && x_enc.csr) {
-        sparseFcDw(x_enc.csr->view(), batch, dy.data());
-    } else if (x_enc.fused) {
+    } else {
         // X stays encoded: each KC-row slice of it is decoded once into
         // arena scratch inside the GEMM — bitwise-identical to decoding
         // X fully, without the batch * in_features FP32 buffer.
@@ -164,13 +106,6 @@ FcLayer::backward(const BwdCtx &ctx)
         };
         gemmPackedB(true, out_features, in_features, batch, 1.0f,
                     dy.data(), pack, 0.0f, d_weight.data());
-    } else {
-        ArenaScope scope;
-        const std::int64_t n = batch * in_features;
-        float *x_scratch = scope.alloc<float>(static_cast<size_t>(n));
-        x_enc.decodeRange(0, { x_scratch, static_cast<size_t>(n) });
-        gemm(true, false, out_features, in_features, batch, 1.0f,
-             dy.data(), x_scratch, 0.0f, d_weight.data());
     }
     if (has_bias) {
         d_bias.setZero();

@@ -28,10 +28,6 @@ class FcLayer : public Layer
     void backward(const BwdCtx &ctx) override;
 
   private:
-    /** Row-sparse dW from a CSR-encoded X stash (compute ~ nnz). */
-    void sparseFcDw(const CsrConstView &stash, std::int64_t batch,
-                    const float *dy);
-
     std::int64_t in_features;
     std::int64_t out_features;
     bool has_bias;

@@ -88,52 +88,6 @@ struct DenseA
 };
 
 /**
- * op(A) pack source for a flat-CSR A (m x k, no transpose): scatters
- * the stored entries of the panel into a fill of alpha * 0, so the
- * panel is bit-for-bit the one DenseA packs from the decoded matrix.
- */
-struct CsrA
-{
-    const CsrConstView &v;
-    std::int64_t k;
-    float alpha;
-
-    void
-    operator()(std::int64_t i0, std::int64_t mr, std::int64_t pc,
-               std::int64_t kc, float *dst) const
-    {
-        std::fill(dst, dst + kc * kGemmMR, alpha * 0.0f);
-        ArenaScope scope;
-        float *vals = scope.alloc<float>(static_cast<size_t>(kc));
-        for (std::int64_t i = 0; i < mr; ++i) {
-            const std::int64_t lo = (i0 + i) * k + pc;
-            const std::int64_t hi = lo + kc;
-            for (std::int64_t r = lo / v.row_width; r * v.row_width < hi;
-                 ++r) {
-                // Entries of a CSR row ascend by column, so the ones
-                // inside [lo, hi) form one contiguous run [k0, k1).
-                const std::int64_t base = r * v.row_width;
-                const auto end = static_cast<std::int64_t>(
-                    v.row_ptr[static_cast<size_t>(r + 1)]);
-                auto k0 = static_cast<std::int64_t>(
-                    v.row_ptr[static_cast<size_t>(r)]);
-                while (k0 < end && base + csrColAt(v, k0) < lo)
-                    ++k0;
-                std::int64_t k1 = k0;
-                while (k1 < end && base + csrColAt(v, k1) < hi)
-                    ++k1;
-                if (k0 == k1)
-                    continue;
-                csrValues(v, k0, k1, vals);
-                for (std::int64_t t = k0; t < k1; ++t)
-                    dst[(base + csrColAt(v, t) - lo) * kGemmMR + i] =
-                        alpha * vals[t - k0];
-            }
-        }
-    }
-};
-
-/**
  * op(B) pack source for a dense row-major B (stored n x k when
  * @p trans): writes rows [pc, pc + kc) x columns [j0, j0 + nr) of op(B)
  * as one kc x kGemmNR strip, columns >= nr zero.
@@ -656,24 +610,6 @@ gemmPackedB(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
                         std::min(kKC, k) * n)) };
     packedGemm(m, n, k, beta != 0.0f, DenseA{ a, trans_a, m, k, alpha },
                pack_b, DenseC{ c, n });
-}
-
-void
-gemmCsrA(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-         const CsrConstView &a, const float *b, float beta, float *c)
-{
-    GIST_TRACE_SCOPE_F("compute", "gemm csr-a %lldx%lldx%lld",
-                       static_cast<long long>(m),
-                       static_cast<long long>(n),
-                       static_cast<long long>(k));
-    if (!hasProduct(m, n, k, alpha, beta, c))
-        return;
-    GIST_ASSERT(a.numel == m * k, "csr A holds ", a.numel,
-                " values, expected ", m * k);
-    GIST_ASSERT(b != nullptr, "gemm: null B with k, n > 0");
-    DenseB pack_b{ b, false, n, k };
-    packedGemm(m, n, k, beta != 0.0f, CsrA{ a, k, alpha }, pack_b,
-               DenseC{ c, n });
 }
 
 void

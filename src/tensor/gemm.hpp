@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "encodings/csr.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/pack.hpp"
 
@@ -31,7 +30,7 @@ inline constexpr std::size_t kGemmPackScratchBytes =
  * All matrices are dense row-major. op(A) is A (m x k) or A^T when
  * @p trans_a (A stored k x m); likewise for B.
  *
- * All three entry points run one packed core: op(A) is packed (times
+ * Every entry point below runs one packed core: op(A) is packed (times
  * alpha) into 6-row panels, op(B) into 16-column strips, and a
  * register microkernel (simd::SimdOps::gemmMicro) computes each C
  * element as one chain c = c + a * b over p ascending, started from
@@ -60,16 +59,6 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 void gemmPackedB(bool trans_a, std::int64_t m, std::int64_t n,
                  std::int64_t k, float alpha, const float *a,
                  const PackFn &b_pack, float beta, float *c);
-
-/**
- * gemm() with op(A) = A (m x k row-major, no transpose) supplied in
- * flat-CSR form: the A panels are packed by scattering the stored
- * nonzeros straight from row_ptr/col_idx, so A is never decoded to a
- * dense matrix. Bitwise-identical to decoding A and calling
- * gemm(false, false, ...). @p a must hold exactly m * k encoded values.
- */
-void gemmCsrA(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const CsrConstView &a, const float *b, float beta, float *c);
 
 /**
  * Implicit-GEMM convolution forward over a minibatch: for each of the

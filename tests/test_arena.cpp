@@ -294,10 +294,8 @@ TEST(ArenaSteadyState, ConvFrameIsTileBufferPlusPackScratch)
     const std::size_t bound = k * p * sizeof(float) + kGemmPackScratchBytes;
 
     const EncodedStash stashes[] = { {},
-                                     { nullptr, &csr, false, false },
-                                     { nullptr, &csr, true, false },
-                                     { &dpr, nullptr, false, false },
-                                     { &dpr, nullptr, true, false } };
+                                     { nullptr, &csr },
+                                     { &dpr, nullptr } };
     for (const EncodedStash &stash : stashes) {
         FwdCtx fwd;
         fwd.inputs = { &x };
@@ -320,8 +318,7 @@ TEST(ArenaSteadyState, ConvFrameIsTileBufferPlusPackScratch)
         EXPECT_EQ(before, after) << (after - before)
                                  << " heap allocations in warm conv fwd+bwd";
         EXPECT_LE(WorkspaceArena::instance().stepHighWaterBytes(), bound)
-            << "stash " << (stash.csr ? "csr" : stash.dpr ? "dpr" : "dense")
-            << (stash.fused ? " fused" : "");
+            << "stash " << (stash.csr ? "csr" : stash.dpr ? "dpr" : "dense");
     }
 }
 

@@ -8,20 +8,28 @@
  * the same slot's earlier-submitted encode, so FIFO order suffices),
  * and that encode/decode spans really run on codec workers (negative
  * worker_index in the trace). Overlap with main-thread compute is
- * asserted from the trace only when the machine has >= 2 cores.
+ * asserted from the trace only when the machine has >= 2 cores; a
+ * gate of two test layers makes an encode run inside a main-thread
+ * forward, so the overlap does not depend on how fast a codec worker
+ * wakes up.
  *
  * The whole file runs under the CI TSan job with GIST_ASYNC=1.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/gist.hpp"
+#include "layers/layers.hpp"
 #include "models/builder.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
@@ -106,6 +114,114 @@ stashHeavyGraph(std::int64_t batch = 4)
     net.fc(5);
     net.loss(5);
     return net.take();
+}
+
+/** What the two CodecGateLayer nodes of one graph share. */
+struct CodecGate
+{
+    CodecQueue *queue = nullptr;
+    std::atomic<bool> open{ true };
+};
+
+/**
+ * Identity layer that pins codec spans inside a main-thread forward
+ * span, whatever the scheduler does. The holding layer parks every
+ * codec worker on a blocker task; the stash encodes submitted after it
+ * queue up behind the blockers. The releasing layer opens the gate and
+ * returns only once all of that work has run, so those encodes start
+ * and end inside its forward span. The blockers give up after 10 s, so
+ * a schedule that joined an encode in between fails instead of hanging.
+ */
+class CodecGateLayer : public Layer
+{
+  public:
+    CodecGateLayer(CodecGate &gate, bool hold) : gate_(gate), hold_(hold) {}
+
+    LayerKind kind() const override { return LayerKind::Dropout; }
+    Shape outputShape(std::span<const Shape> in) const override
+    {
+        return in[0];
+    }
+    BackwardNeeds backwardNeeds() const override { return { false, false }; }
+
+    void
+    forward(const FwdCtx &ctx) override
+    {
+        const Tensor &x = *ctx.inputs[0];
+        std::copy_n(x.data(), x.numel(), ctx.output->data());
+        CodecQueue *queue = gate_.queue;
+        if (!queue)
+            return;
+        if (hold_) {
+            gate_.open.store(false);
+            for (int w = 0; w < queue->numWorkers(); ++w)
+                queue->submit([&gate = gate_] {
+                    const auto deadline = std::chrono::steady_clock::now() +
+                                          std::chrono::seconds(10);
+                    while (!gate.open.load() &&
+                           std::chrono::steady_clock::now() < deadline)
+                        std::this_thread::yield();
+                });
+            return;
+        }
+        const std::uint64_t submitted = queue->stats().submitted;
+        gate_.open.store(true);
+        while (queue->stats().completed < submitted)
+            std::this_thread::yield();
+    }
+
+    void
+    backward(const BwdCtx &ctx) override
+    {
+        if (Tensor *dx = ctx.d_inputs[0])
+            for (std::int64_t i = 0; i < dx->numel(); ++i)
+                dx->at(i) += ctx.d_output->at(i);
+    }
+
+  private:
+    CodecGate &gate_;
+    bool hold_;
+};
+
+/**
+ * stashHeavyGraph() with a gate around the first CSR stash's encode:
+ * held after conv1, released after conv2 (which retires relu1).
+ */
+Graph
+codecGateGraph(CodecGate &gate)
+{
+    Graph g;
+    const auto name = [&](const char *base) {
+        return base + std::to_string(g.numNodes());
+    };
+    const auto conv = [&](NodeId in, std::int64_t out_c) {
+        return g.addNode(name("conv"),
+                         std::make_unique<ConvLayer>(
+                             g.node(in).out_shape.c(),
+                             ConvSpec::square(out_c, 3, 1, 1)),
+                         { in });
+    };
+    const auto relu = [&](NodeId in) {
+        return g.addNode(name("relu"), std::make_unique<ReluLayer>(), { in });
+    };
+    const auto pool = [&](NodeId in) {
+        return g.addNode(name("pool"),
+                         std::make_unique<MaxPoolLayer>(
+                             PoolSpec::square(2, 2)),
+                         { in });
+    };
+    const auto gateAt = [&](NodeId in, bool hold) {
+        return g.addNode(name("gate"),
+                         std::make_unique<CodecGateLayer>(gate, hold),
+                         { in });
+    };
+    NodeId t = g.addInput("data", Shape::nchw(4, 3, 16, 16));
+    t = conv(relu(gateAt(conv(t, 8), true)), 8);
+    t = pool(relu(gateAt(t, false)));
+    t = pool(relu(conv(relu(conv(t, 16)), 16)));
+    t = g.addNode("fc", std::make_unique<FcLayer>(16 * 4 * 4, 5), { t });
+    g.addNode("loss", std::make_unique<SoftmaxCrossEntropyLayer>(5), { t });
+    return g;
 }
 
 struct StepResult
@@ -248,8 +364,21 @@ TEST(AsyncExecutorStress, StallCountersZeroSyncNonzeroQueueWaitAsync)
 
 TEST(AsyncExecutorStress, CodecSpansRunOnCodecWorkers)
 {
+    CodecGate gate;
+    Graph g = codecGateGraph(gate);
+    Rng rng(8);
+    g.initParams(rng);
+    Executor exec(g);
+    applyToExecutor(buildSchedule(g, GistConfig::lossless()), exec);
+    exec.setAsyncCodec(true, /*workers=*/2);
+    gate.queue = &exec.codecQueue();
     obs::traceStart(""); // memory-only
-    runSteps(stashHeavyGraph(), 7, GistConfig::lossless(), true, 2, 0);
+    Rng drng(9);
+    const std::vector<std::int32_t> labels = { 0, 1, 2, 3 };
+    for (int s = 0; s < 3; ++s)
+        exec.runMinibatch(
+            Tensor::uniform(g.node(0).out_shape, drng, 0.0f, 1.0f),
+            labels);
     obs::traceStop();
     const auto events = obs::traceCollect();
     obs::traceReset();

@@ -7,7 +7,7 @@
  * the image (or from the tile an encoded stash decodes into). Their
  * contract is bit-for-bit equality with the per-image im2col + gemm
  * reference below, at every geometry, batch size, stash encoding,
- * fused setting, SIMD backend and thread count.
+ * SIMD backend and thread count.
  */
 
 #include <gtest/gtest.h>
@@ -286,18 +286,13 @@ TEST_F(ConvImplicit, EncodedStashesMatchReferenceOnDecodedValues)
                     s.dpr->decode(decoded);
                 else
                     s.csr->decode(decoded);
-                const Result want = f.reference(decoded);
-                for (const bool fused : { false, true }) {
-                    // Forward reads the dense X, the reference the
-                    // decoded one: only the gradients are comparable.
-                    Result got =
-                        f.run(EncodedStash{ s.dpr, s.csr, fused, false });
-                    got.y.clear();
-                    expectSame(want, got,
-                               std::string(s.name) +
-                                   (fused ? " fused " : " ") + c.name() +
-                                   " batch " + std::to_string(batch));
-                }
+                // Forward reads the dense X, the reference the decoded
+                // one: only the gradients are comparable.
+                Result got = f.run(EncodedStash{ s.dpr, s.csr });
+                got.y.clear();
+                expectSame(f.reference(decoded), got,
+                           std::string(s.name) + " " + c.name() +
+                               " batch " + std::to_string(batch));
             }
         }
 }
@@ -313,9 +308,9 @@ TEST_F(ConvImplicit, OneAndFourThreadsAreBitwiseIdentical)
         csr.encode(f.xValues());
         DprBuffer dpr;
         dpr.encode(DprFormat::Fp16, f.xValues());
-        const EncodedStash stashes[] = {
-            {}, { nullptr, &csr, true, false }, { &dpr, nullptr, true, false }
-        };
+        const EncodedStash stashes[] = { {},
+                                         { nullptr, &csr },
+                                         { &dpr, nullptr } };
         for (const EncodedStash &s : stashes) {
             setNumThreads(1);
             const Result one = f.run(s);

@@ -1,15 +1,21 @@
 /**
  * @file
  * Tests for the real "optimized software" path (paper Section V-H):
- * convolution backward consuming DPR-encoded stashes tile-by-tile, with
- * no full FP32 decode buffer ever materialized.
+ * conv and FC backward consuming CSR- and DPR-encoded stashes piece by
+ * piece, with no full FP32 decode buffer ever materialized.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "core/gist.hpp"
 #include "layers/conv.hpp"
+#include "layers/fc.hpp"
 #include "models/tiny.hpp"
+#include "simd/dispatch.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace gist {
@@ -179,7 +185,84 @@ TEST(ElideDecode, ConvBackwardChunkedMatchesDense)
     EXPECT_EQ(dense, chunked);
 }
 
+TEST(ElideDecode, FcBackwardEncodedMatchesDense)
+{
+    // FC packs an encoded X through gemmPackedB one KC slice of the
+    // batch at a time; dW, db and dX must be the bits of a backward on
+    // the decoded X, for every encoding, shape, backend and thread
+    // count.
+    const std::int64_t out_features = 19;
+    for (const std::int64_t in_features : { 1, 127, 128, 129, 300 })
+        for (const std::int64_t batch : { 1, 7, 33 }) {
+            Rng rng(static_cast<std::uint64_t>(in_features * 64 + batch));
+            FcLayer fc(in_features, out_features);
+            fc.initParams(rng);
+            Tensor x(Shape{ batch, in_features });
+            for (std::int64_t i = 0; i < x.numel(); ++i)
+                x.at(i) = rng.uniform() < 0.5 ? 0.0f : rng.normal();
+            const Tensor dy =
+                Tensor::randn(Shape{ batch, out_features }, rng);
 
+            CsrBuffer csr{ CsrConfig{} };
+            csr.encode(x.span());
+            CsrConfig fp16_cfg;
+            fp16_cfg.value_format = DprFormat::Fp16;
+            CsrBuffer csr_fp16(fp16_cfg);
+            csr_fp16.encode(x.span());
+            DprBuffer dpr16;
+            dpr16.encode(DprFormat::Fp16, x.span());
+            DprBuffer dpr10;
+            dpr10.encode(DprFormat::Fp10, x.span());
+            const struct
+            {
+                const char *name;
+                EncodedStash stash;
+            } stashes[] = { { "csr", { nullptr, &csr } },
+                            { "csr-fp16", { nullptr, &csr_fp16 } },
+                            { "dpr-fp16", { &dpr16, nullptr } },
+                            { "dpr-fp10", { &dpr10, nullptr } } };
+
+            // dW, db and dX (accumulated into a nonzero start) of one
+            // backward, as raw bits.
+            auto run = [&](const Tensor *dense, EncodedStash stash) {
+                Rng dx_rng(3);
+                Tensor dx = Tensor::uniform(x.shape(), dx_rng, -1.0f, 1.0f);
+                BwdCtx ctx;
+                ctx.inputs = { dense };
+                ctx.encoded_inputs = { stash };
+                ctx.d_output = &dy;
+                ctx.d_inputs = { &dx };
+                fc.backward(ctx);
+                std::vector<Tensor *> outs = fc.paramGrads();
+                outs.push_back(&dx);
+                std::vector<std::uint32_t> bits;
+                for (const Tensor *t : outs)
+                    for (std::int64_t i = 0; i < t->numel(); ++i)
+                        bits.push_back(std::bit_cast<std::uint32_t>(
+                            t->data()[i]));
+                return bits;
+            };
+            for (const auto &s : stashes) {
+                Tensor decoded(x.shape());
+                s.stash.decodeRange(0, decoded.span());
+                for (int be = 0; be < simd::kNumBackends; ++be) {
+                    const auto backend = static_cast<simd::Backend>(be);
+                    if (!simd::backendAvailable(backend))
+                        continue;
+                    simd::setBackend(backend);
+                    for (const int threads : { 1, 4 }) {
+                        setNumThreads(threads);
+                        EXPECT_EQ(run(&decoded, {}), run(nullptr, s.stash))
+                            << s.name << " " << simd::backendName(backend)
+                            << " threads " << threads << " in "
+                            << in_features << " batch " << batch;
+                    }
+                }
+            }
+        }
+    simd::initFromEnv();
+    setNumThreads(0);
+}
 
 struct RunOut
 {

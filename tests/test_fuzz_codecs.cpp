@@ -492,54 +492,6 @@ pickSparsity(Rng &rng)
     }
 }
 
-TEST(FuzzFused, CsrGemmMatchesDecodeThenGemm)
-{
-    runCases("fused-csr-gemm", 0xF5133331, 300,
-             [](Rng &rng, std::vector<float> &data) -> Property {
-                 CsrConfig cfg;
-                 cfg.row_width =
-                     1 + static_cast<std::int64_t>(rng.uniformInt(256));
-                 if (rng.uniform() < 0.5)
-                     cfg.value_format = DprFormat::Fp16;
-                 const auto m =
-                     1 + static_cast<std::int64_t>(rng.uniformInt(24));
-                 const auto k =
-                     1 + static_cast<std::int64_t>(rng.uniformInt(96));
-                 const auto n =
-                     1 + static_cast<std::int64_t>(rng.uniformInt(80));
-                 data = genValues(rng, m * k, pickSparsity(rng));
-                 const std::uint64_t b_seed = rng.next();
-                 return [cfg, m, k, n,
-                         b_seed](const std::vector<float> &d) -> std::string {
-                     if (d.size() != static_cast<size_t>(m * k))
-                         return ""; // shrinker changed the shape contract
-                     Rng brng(b_seed);
-                     std::vector<float> b(static_cast<size_t>(k * n));
-                     for (auto &x : b)
-                         x = brng.normal();
-                     CsrBuffer a(cfg);
-                     a.encode({ d.data(), d.size() });
-                     std::vector<float> a_dense(d.size());
-                     a.decode(a_dense);
-                     std::vector<float> c_ref(static_cast<size_t>(m * n));
-                     gemm(false, false, m, n, k, 1.0f, a_dense.data(),
-                          b.data(), 0.0f, c_ref.data());
-                     std::vector<float> c_fused(static_cast<size_t>(m * n),
-                                                -3.0f);
-                     gemmCsrA(m, n, k, 1.0f, a.view(), b.data(), 0.0f,
-                              c_fused.data());
-                     for (size_t i = 0; i < c_ref.size(); ++i)
-                         if (!bitEqual(c_ref[i], c_fused[i]))
-                             return "gemmCsrA c[" + std::to_string(i) +
-                                    "] fused != dense (m=" +
-                                    std::to_string(m) + " k=" +
-                                    std::to_string(k) + " n=" +
-                                    std::to_string(n) + ")";
-                     return "";
-                 };
-             });
-}
-
 TEST(FuzzFused, PackedGemmMatchesDecodeThenGemm)
 {
     static const DprFormat kFormats[] = { DprFormat::Fp16, DprFormat::Fp10,

@@ -306,15 +306,13 @@ TEST(LayerGradients, MaxPoolOverlappingIndexMap)
 
 /**
  * Full-executor check: under the lossless config the ReLU output
- * feeding the second conv is stashed in CSR and consumed by the conv
- * backward either via decode-to-scratch (fused = false) or via the
- * fused im2col-from-CSR path (fused = true). With sparse_thr <= 1.0
- * the row-sparse dW route is also armed. In every mode the conv
- * weight/bias gradients must match central differences of the
- * minibatch loss.
+ * feeding the second conv is stashed in CSR. The conv backward reads
+ * it either from a full decode (elide off) or tile by tile from the
+ * encoding (elide on). Either way the conv weight/bias gradients must
+ * match central differences of the minibatch loss.
  */
 void
-checkConvParamGradsFullExecutor(bool fused, double sparse_thr)
+checkConvParamGradsFullExecutor(bool elide)
 {
     NetBuilder net(2, 3, 8, 8);
     net.conv(4, 3, 1, 1);
@@ -326,11 +324,9 @@ checkConvParamGradsFullExecutor(bool fused, double sparse_thr)
     Rng rng(31);
     g.initParams(rng);
     Executor exec(g);
-    applyToExecutor(buildSchedule(g, GistConfig::lossless()), exec);
-    // Pin the consumption mode explicitly so the check is meaningful
-    // regardless of the GIST_FUSED environment the suite runs under.
-    exec.setFusedConsume(fused);
-    exec.setSparseGemmThreshold(sparse_thr);
+    GistConfig cfg = GistConfig::lossless();
+    cfg.elide_decode_buffer = elide;
+    applyToExecutor(buildSchedule(g, cfg), exec);
     Rng drng(32);
     const Tensor batch =
         Tensor::uniform(g.node(0).out_shape, drng, 0.0f, 1.0f);
@@ -379,7 +375,8 @@ checkConvParamGradsFullExecutor(bool fused, double sparse_thr)
                 const double denom = std::max(
                     1.0, std::abs(numeric) + std::abs(analytic));
                 EXPECT_NEAR(analytic, numeric, 3e-2 * denom)
-                    << *c.name << " param " << p << " index " << i;
+                    << *c.name << " param " << p << " index " << i
+                    << (elide ? " elide" : "");
             }
         }
     }
@@ -387,24 +384,15 @@ checkConvParamGradsFullExecutor(bool fused, double sparse_thr)
 
 TEST(LayerGradients, ConvParamGradsUnderEncodedStashes)
 {
-    // Legacy decode-to-scratch consumption (GIST_FUSED=0 behavior).
-    checkConvParamGradsFullExecutor(false, 2.0);
+    // Full decode of the CSR stash before the conv backward.
+    checkConvParamGradsFullExecutor(false);
 }
 
 TEST(LayerGradients, ConvParamGradsFusedConsume)
 {
-    // Fused im2col-from-CSR consumption; bitwise-identical kernels, so
-    // the same numeric gates must hold.
-    checkConvParamGradsFullExecutor(true, 2.0);
-}
-
-TEST(LayerGradients, ConvParamGradsSparseGemmRoute)
-{
-    // Threshold 0.0 forces the row-sparse dW route for every encoded
-    // CSR stash regardless of measured sparsity; this path reorders
-    // float accumulation, so it is covered by the numeric tolerance
-    // rather than bitwise identity.
-    checkConvParamGradsFullExecutor(true, 0.0);
+    // The conv backward packs its dW operand tile by tile straight
+    // from the CSR encoding; the same numeric gates must hold.
+    checkConvParamGradsFullExecutor(true);
 }
 
 TEST(LayerGradients, Concat)

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "core/gist.hpp"
 #include "layers/layers.hpp"
 #include "models/builder.hpp"
@@ -208,6 +213,107 @@ TEST(GistConfig, Factories)
     EXPECT_EQ(lossy.dpr_format, DprFormat::Fp8);
     // DPR-over-SSDC: the CSR values array is compressed too.
     EXPECT_EQ(lossy.csr.value_format, DprFormat::Fp8);
+}
+
+/** Saves the GIST_* overrides resolveConfig() reads; restores them on
+ *  scope exit so the rest of the suite sees the environment it ran in. */
+class OverrideEnvGuard
+{
+  public:
+    static constexpr const char *kNames[] = {
+        "GIST_MEM_BUDGET", "GIST_DEVICE_POOL", "GIST_CALIBRATION",
+        "GIST_TIER_PATH",  "GIST_TIER_GBPS",   "GIST_ASYNC",
+        "GIST_CODEC_THREADS"
+    };
+
+    OverrideEnvGuard()
+    {
+        for (const char *name : kNames) {
+            const char *v = std::getenv(name);
+            saved_.push_back(v ? std::optional<std::string>(v)
+                               : std::nullopt);
+        }
+    }
+    ~OverrideEnvGuard()
+    {
+        for (size_t i = 0; i < saved_.size(); ++i) {
+            if (saved_[i])
+                setenv(kNames[i], saved_[i]->c_str(), 1);
+            else
+                unsetenv(kNames[i]);
+        }
+    }
+
+  private:
+    std::vector<std::optional<std::string>> saved_;
+};
+
+TEST(Config, ResolveConfigAppliesEachOverrideOnce)
+{
+    OverrideEnvGuard guard;
+    const std::string tier_dir = ::testing::TempDir();
+    setenv("GIST_MEM_BUDGET", "1g", 1);
+    setenv("GIST_DEVICE_POOL", "256k", 1);
+    setenv("GIST_CALIBRATION", "/nonexistent/env_calibration.json", 1);
+    setenv("GIST_TIER_PATH", tier_dir.c_str(), 1);
+    setenv("GIST_TIER_GBPS", "2.5", 1);
+    setenv("GIST_ASYNC", "1", 1);
+    setenv("GIST_CODEC_THREADS", "3", 1);
+
+    GistConfig cfg = GistConfig::lossless();
+    cfg.mem_budget_bytes = 123;
+    cfg.device_pool_bytes = 456;
+    cfg.tier_path = "config_tier";
+    cfg.tier_bandwidth_bytes_per_s = 1e6;
+    cfg.codec_threads = 2;
+    // The environment wins for budget, pool, tier path, tier GB/s,
+    // async and codec threads.
+    const GistConfig r = resolveConfig(cfg);
+    EXPECT_EQ(r.mem_budget_bytes, std::uint64_t{ 1 } << 30);
+    EXPECT_EQ(r.device_pool_bytes, 256u * 1024);
+    EXPECT_EQ(r.tier_path, tier_dir);
+    EXPECT_DOUBLE_EQ(r.tier_bandwidth_bytes_per_s, 2.5e9);
+    EXPECT_TRUE(r.async_codec);
+    EXPECT_EQ(r.codec_threads, 3);
+    // GIST_CALIBRATION only fills an empty calibration_path.
+    EXPECT_EQ(r.calibration_path, "/nonexistent/env_calibration.json");
+    GistConfig own_cal = cfg;
+    own_cal.calibration_path = "config_calibration.json";
+    EXPECT_EQ(resolveConfig(own_cal).calibration_path,
+              "config_calibration.json");
+    // A bad codec thread count warns and keeps the config's.
+    setenv("GIST_CODEC_THREADS", "0", 1);
+    EXPECT_EQ(resolveConfig(cfg).codec_threads, 2);
+    setenv("GIST_CODEC_THREADS", "3", 1);
+
+    // buildSchedule resolves once and keeps the effective config; the
+    // planner plans against the resolved budget and pool cap.
+    Graph g = vggBlock();
+    const BuiltSchedule built = buildSchedule(g, cfg);
+    EXPECT_EQ(built.config.mem_budget_bytes, r.mem_budget_bytes);
+    EXPECT_TRUE(built.hybrid.active);
+    EXPECT_EQ(built.hybrid.budget_bytes, r.mem_budget_bytes);
+    EXPECT_EQ(built.config.device_pool_bytes, r.device_pool_bytes);
+    EXPECT_EQ(built.config.calibration_path, r.calibration_path);
+    EXPECT_EQ(built.config.tier_path, r.tier_path);
+    EXPECT_DOUBLE_EQ(built.config.tier_bandwidth_bytes_per_s,
+                     r.tier_bandwidth_bytes_per_s);
+    EXPECT_EQ(built.config.async_codec, r.async_codec);
+    EXPECT_EQ(built.config.codec_threads, r.codec_threads);
+
+    // applyToExecutor reads schedule.config alone: with the environment
+    // gone it still applies the resolved values.
+    for (const char *name : OverrideEnvGuard::kNames)
+        unsetenv(name);
+    Executor exec(g);
+    applyToExecutor(built, exec);
+    EXPECT_TRUE(exec.asyncCodec());
+    EXPECT_EQ(exec.codecQueue().numWorkers(), 3);
+    ASSERT_NE(exec.devicePool(), nullptr);
+    EXPECT_EQ(exec.devicePool()->cap(), 256u * 1024);
+    EXPECT_EQ(exec.devicePool()->config().tier_path, tier_dir);
+    EXPECT_DOUBLE_EQ(exec.devicePool()->config().tier_bytes_per_second,
+                     2.5e9);
 }
 
 } // namespace
