@@ -248,10 +248,15 @@ main(int argc, char **argv)
         gist::BinarizedMask mask;
         mask.encode(v);
         const auto dy = randomDense(n, 5);
+        // reluBackward accumulates into dx, so each run zeroes it first
+        // (the serial and parallel runs repeat a different number of
+        // times). Traffic: dx zeroed, dy read, dx read and written.
         runPath("binarize_backward", par,
-                static_cast<double>(n) * sizeof(float) * 2,
+                static_cast<double>(n) * sizeof(float) * 4,
                 static_cast<size_t>(n) * sizeof(float),
                 [&](void *out) {
+                    std::memset(out, 0, static_cast<size_t>(n) *
+                                            sizeof(float));
                     mask.reluBackward(
                         dy, { static_cast<float *>(out),
                               static_cast<size_t>(n) });

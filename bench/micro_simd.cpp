@@ -173,10 +173,14 @@ main(int argc, char **argv)
         std::vector<std::uint8_t> bits(nbytes);
         opsFor(Backend::Scalar).binarizeEncode(src.data(), n,
                                                bits.data());
+        // The kernel accumulates into dx, so each run zeroes it first.
+        // Traffic: dx zeroed, dy read, dx read and written.
         runKernel("binarize_backward",
-                  static_cast<double>(n) * sizeof(float) * 2,
+                  static_cast<double>(n) * sizeof(float) * 4,
                   static_cast<size_t>(n) * sizeof(float),
                   [&](const SimdOps &o, void *out) {
+                      std::memset(out, 0, static_cast<size_t>(n) *
+                                              sizeof(float));
                       o.binarizeBackward(bits.data(), src.data(), n,
                                          static_cast<float *>(out));
                   });

@@ -35,7 +35,10 @@ class BinarizedMask
     /** True if element @p i was positive. */
     bool positive(std::int64_t i) const;
 
-    /** ReLU backward directly on the encoded data: dx = positive ? dy : 0. */
+    /**
+     * ReLU backward directly on the encoded data, accumulating:
+     * dx += positive ? dy : +0.0f (the layer's gradient accumulate).
+     */
     void reluBackward(std::span<const float> dy, std::span<float> dx) const;
 
     std::int64_t numel() const { return numel_; }

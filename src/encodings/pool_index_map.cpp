@@ -66,6 +66,59 @@ PoolIndexMap::get(std::int64_t i) const
 }
 
 void
+PoolIndexMap::setRow(std::int64_t i0, const std::int32_t *pos,
+                     std::int64_t count)
+{
+    GIST_ASSERT(i0 >= 0 && count >= 0 && i0 + count <= numel_,
+                "pool map row out of range");
+    std::uint32_t any = 0; // OR of every position: one range check
+    for (std::int64_t k = 0; k < count; ++k)
+        any |= static_cast<std::uint32_t>(pos[k]);
+    GIST_ASSERT(any >> bits_per_entry == 0, "window position exceeds ",
+                bits_per_entry, " bits");
+    if (bits_per_entry == 8) {
+        std::uint8_t *out = packed.data() + i0;
+        for (std::int64_t k = 0; k < count; ++k)
+            out[k] = static_cast<std::uint8_t>(pos[k]);
+        return;
+    }
+    std::int64_t k = 0;
+    if (count > 0 && (i0 & 1)) { // high nibble of a shared byte
+        set(i0, pos[0]);
+        k = 1;
+    }
+    std::uint8_t *out = packed.data() + ((i0 + k) >> 1);
+    for (; k + 2 <= count; k += 2)
+        *out++ = static_cast<std::uint8_t>(pos[k] | (pos[k + 1] << 4));
+    if (k < count) // low nibble of a shared byte
+        set(i0 + k, pos[k]);
+}
+
+void
+PoolIndexMap::getRow(std::int64_t i0, std::int64_t count,
+                     std::int32_t *pos) const
+{
+    GIST_ASSERT(i0 >= 0 && count >= 0 && i0 + count <= numel_,
+                "pool map row out of range");
+    if (bits_per_entry == 8) {
+        const std::uint8_t *in = packed.data() + i0;
+        for (std::int64_t k = 0; k < count; ++k)
+            pos[k] = in[k];
+        return;
+    }
+    std::int64_t k = 0;
+    if (count > 0 && (i0 & 1))
+        pos[k++] = get(i0);
+    const std::uint8_t *in = packed.data() + ((i0 + k) >> 1);
+    for (; k + 2 <= count; k += 2, ++in) {
+        pos[k] = *in & 0x0f;
+        pos[k + 1] = *in >> 4;
+    }
+    if (k < count)
+        pos[k] = get(i0 + k);
+}
+
+void
 PoolIndexMap::clear()
 {
     packed.clear();

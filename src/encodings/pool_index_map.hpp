@@ -39,9 +39,23 @@ class PoolIndexMap
     /** Window position (row-major kh*kw index) for output @p i. */
     std::int64_t get(std::int64_t i) const;
 
+    /**
+     * set() for outputs i0 .. i0 + count from @p pos, two 4-bit entries
+     * per byte store. Only the bytes holding those entries are touched,
+     * so callers on different threads must split at byte boundaries.
+     */
+    void setRow(std::int64_t i0, const std::int32_t *pos,
+                std::int64_t count);
+
+    /** get() for outputs i0 .. i0 + count into @p pos. */
+    void getRow(std::int64_t i0, std::int64_t count,
+                std::int32_t *pos) const;
+
     std::int64_t numel() const { return numel_; }
     int bitsPerEntry() const { return bits_per_entry; }
     std::uint64_t bytes() const { return packed.size(); }
+    std::span<const std::uint8_t> raw() const { return { packed.data(),
+                                                         packed.size() }; }
 
     /** Drop the storage. */
     void clear();

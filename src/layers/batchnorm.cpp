@@ -1,11 +1,25 @@
 #include "layers/batchnorm.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace gist {
+
+namespace {
+
+/** Channels per parallel chunk: about 16K elements of work. */
+std::int64_t
+channelGrain(std::int64_t per_channel)
+{
+    return std::max<std::int64_t>(1, 16384 / std::max<std::int64_t>(
+                                             1, per_channel));
+}
+
+} // namespace
 
 BatchNormLayer::BatchNormLayer(std::int64_t channels_n, float eps_n,
                                float momentum_n)
@@ -74,16 +88,30 @@ void
 BatchNormLayer::forward(const FwdCtx &ctx)
 {
     GIST_ASSERT(ctx.inputs.size() == 1 && ctx.output, "bn forward args");
+    const auto &s = ctx.inputs[0]->shape();
+    const std::int64_t m = s.n() * s.h() * s.w();
+
+    saved_mean.assign(static_cast<size_t>(channels), 0.0f);
+    saved_invstd.assign(static_cast<size_t>(channels), 0.0f);
+    // Channels are independent and each keeps its serial double sums,
+    // so any split over threads gives the same bits.
+    parallelFor(0, channels, chooseGrain(channels, channelGrain(m)),
+                [&](std::int64_t c0, std::int64_t c1) {
+                    forwardChannels(ctx, c0, c1);
+                });
+}
+
+void
+BatchNormLayer::forwardChannels(const FwdCtx &ctx, std::int64_t c0,
+                                std::int64_t c1)
+{
     const Tensor &x = *ctx.inputs[0];
     Tensor &y = *ctx.output;
     const auto &s = x.shape();
     const std::int64_t plane = s.h() * s.w();
     const std::int64_t m = s.n() * plane;
 
-    saved_mean.assign(static_cast<size_t>(channels), 0.0f);
-    saved_invstd.assign(static_cast<size_t>(channels), 0.0f);
-
-    for (std::int64_t c = 0; c < channels; ++c) {
+    for (std::int64_t c = c0; c < c1; ++c) {
         float mean_c;
         float invstd_c;
         if (ctx.training) {
@@ -138,6 +166,18 @@ BatchNormLayer::backward(const BwdCtx &ctx)
                 "bn backward needs stashed X and dY");
     GIST_ASSERT(!saved_mean.empty(),
                 "bn statistics not captured for this minibatch");
+    const auto &s = ctx.inputs[0]->shape();
+    const std::int64_t m = s.n() * s.h() * s.w();
+    parallelFor(0, channels, chooseGrain(channels, channelGrain(m)),
+                [&](std::int64_t c0, std::int64_t c1) {
+                    backwardChannels(ctx, c0, c1);
+                });
+}
+
+void
+BatchNormLayer::backwardChannels(const BwdCtx &ctx, std::int64_t c0,
+                                 std::int64_t c1)
+{
     const Tensor &x = *ctx.inputs[0];
     const Tensor &dy = *ctx.d_output;
     Tensor *dx = ctx.d_inputs[0];
@@ -146,7 +186,7 @@ BatchNormLayer::backward(const BwdCtx &ctx)
     const std::int64_t m = s.n() * plane;
     const float inv_m = 1.0f / static_cast<float>(m);
 
-    for (std::int64_t c = 0; c < channels; ++c) {
+    for (std::int64_t c = c0; c < c1; ++c) {
         const float mean_c = saved_mean[static_cast<size_t>(c)];
         const float invstd_c = saved_invstd[static_cast<size_t>(c)];
         double dg = 0.0;

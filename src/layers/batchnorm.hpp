@@ -34,6 +34,12 @@ class BatchNormLayer : public Layer
     void releaseAuxStash() override;
 
   private:
+    /** forward()/backward() for channels [c0, c1): a parallel chunk. */
+    void forwardChannels(const FwdCtx &ctx, std::int64_t c0,
+                         std::int64_t c1);
+    void backwardChannels(const BwdCtx &ctx, std::int64_t c0,
+                          std::int64_t c1);
+
     std::int64_t channels;
     float eps;
     float momentum;

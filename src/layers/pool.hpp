@@ -62,6 +62,9 @@ class MaxPoolLayer : public Layer
 
     const PoolSpec &spec() const { return spec_; }
 
+    /** The argmax map of the last training forward (IndexMap mode). */
+    const PoolIndexMap &indexMap() const { return index_map; }
+
   private:
     ConvGeometry geometry(const Shape &in) const;
 

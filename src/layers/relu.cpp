@@ -1,7 +1,9 @@
 #include "layers/relu.hpp"
 
+#include "simd/dispatch.hpp"
 #include "tensor/ops.hpp"
 #include "util/logging.hpp"
+#include "util/parallel.hpp"
 
 namespace gist {
 
@@ -38,20 +40,22 @@ ReluLayer::backward(const BwdCtx &ctx)
         return;
     const auto dy = ctx.d_output->span();
     const auto dxs = dx->span();
-    if (stash_mode == StashMode::Dense) {
-        GIST_ASSERT(ctx.output, "relu (dense mode) needs its stashed Y");
-        const auto y = ctx.output->span();
-        for (size_t i = 0; i < dy.size(); ++i)
-            dxs[i] += y[i] > 0.0f ? dy[i] : 0.0f;
-    } else {
+    if (stash_mode == StashMode::Mask) {
         GIST_ASSERT(mask.numel() ==
                         static_cast<std::int64_t>(dy.size()),
                     "relu mask not captured for this minibatch");
-        for (size_t i = 0; i < dy.size(); ++i)
-            dxs[i] += mask.positive(static_cast<std::int64_t>(i))
-                          ? dy[i]
-                          : 0.0f;
+        mask.reluBackward(dy, dxs);
+        return;
     }
+    GIST_ASSERT(ctx.output, "relu (dense mode) needs its stashed Y");
+    const float *y = ctx.output->data();
+    const auto kernel = simd::ops().reluBackward;
+    const auto n = static_cast<std::int64_t>(dy.size());
+    parallelFor(0, n, chooseGrain(n, 4096),
+                [&](std::int64_t lo, std::int64_t hi) {
+                    kernel(y + lo, dy.data() + lo, hi - lo,
+                           dxs.data() + lo);
+                });
 }
 
 void

@@ -1,6 +1,7 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernel table for the codec and GEMM hot paths.
+ * Runtime-dispatched SIMD kernel table for the codec, GEMM and
+ * memory-bound layer (ReLU, max pool) hot paths.
  *
  * Three backends, each a separate translation unit compiled with its own
  * -march flags (src/simd/CMakeLists.txt):
@@ -15,7 +16,8 @@
  * environment variable (scalar | sse2 | avx2) wins if set and
  * available, else the best ISA the CPU reports (probed via
  * __builtin_cpu_supports on x86). setBackend() overrides at runtime
- * (bench/tests). The integer codec kernels are bitwise-identical across
+ * (bench/tests). The integer codec kernels and the compare/select/add
+ * layer kernels (ReLU backward, max pool) are bitwise-identical across
  * backends by construction; the float GEMM kernels (axpy, gemmMicro) may
  * round differently (FMA contraction) and are only required to be
  * deterministic within a backend.
@@ -46,6 +48,25 @@ inline constexpr int kNumBackends = 3;
 inline constexpr std::int64_t kGemmMR = 6;
 inline constexpr std::int64_t kGemmNR = 16;
 
+/**
+ * One max-pool scan over planes x rows x cols outputs: output (q, r, c)
+ * reads window tap t at src[q * plane_pitch + r * row_pitch + c *
+ * col_stride + off[t]] and is written at index j = (q * rows + r) * cols
+ * + c. Every such element must be readable; nothing else is read.
+ */
+struct PoolScan
+{
+    const float *src;
+    std::int64_t plane_pitch;
+    std::int64_t row_pitch;
+    std::int64_t col_stride;
+    const std::int64_t *off;
+    std::int64_t taps;
+    std::int64_t planes;
+    std::int64_t rows;
+    std::int64_t cols;
+};
+
 /** One backend's kernel table. */
 struct SimdOps
 {
@@ -67,7 +88,12 @@ struct SimdOps
     /** Pack sign bits (v > 0) of n values into ceil(n / 8) bytes. */
     void (*binarizeEncode)(const float *values, std::int64_t n,
                            std::uint8_t *bytes);
-    /** dx[i] = bit(i) ? dy[i] : 0 over n values (bit 0 = first value). */
+    /**
+     * ReLU backward from the 1-bit mask, accumulating: dx[i] += bit(i) ?
+     * dy[i] : +0.0f over n values (bit 0 = first value). An add of +0.0f,
+     * never a store of the masked value, so dx = -0.0 with the bit clear
+     * becomes +0.0 exactly as the dense form does.
+     */
     void (*binarizeBackward)(const std::uint8_t *bytes, const float *dy,
                              std::int64_t n, float *dx);
 
@@ -111,6 +137,27 @@ struct SimdOps
     void (*gemmMicro)(std::int64_t kc, const float *a, const float *b,
                       float *c, std::int64_t ldc, std::int64_t mr,
                       std::int64_t nr, bool accumulate);
+
+    /** Dense ReLU backward: dx[i] += y[i] > 0 ? dy[i] : +0.0f. */
+    void (*reluBackward)(const float *y, const float *dy, std::int64_t n,
+                         float *dx);
+
+    /**
+     * Max-pool window scan (DESIGN §5d): for each output (q, r, c) of
+     * @p s, taps run in ascending order from best = -inf and pos =
+     * first[r * cols + c] (the same for every plane; 0 when @p first is
+     * null); where a tap's value v > best (never for NaN), best = v and
+     * pos = t. Writes best[j] and pos[j].
+     */
+    void (*maxPoolArgmax)(const PoolScan &s, const std::int32_t *first,
+                          float *best, std::int32_t *pos);
+    /**
+     * Max-pool argmax recovery from X and Y: pos[j] = the first tap in
+     * scan order whose value == y[j], or -1 where none is. Scans taps
+     * in reverse, so the last match written is that first one.
+     */
+    void (*maxPoolMatch)(const PoolScan &s, const float *y,
+                         std::int32_t *pos);
 };
 
 /** The active kernel table (resolves backend on first call). */

@@ -1,7 +1,7 @@
 /**
  * @file
- * AVX2 backend: hand-written 8-wide intrinsics for the codec and GEMM
- * hot loops (per-file -mavx2 -mfma -mf16c -O3).
+ * AVX2 backend: hand-written 8-wide intrinsics for the codec, GEMM and
+ * ReLU / max-pool hot loops (per-file -mavx2 -mfma -mf16c -O3).
  *
  * The small-float conversions are pure integer exponent/mantissa
  * arithmetic — the same branchless formulas as sf_codes.hpp lane-lifted
@@ -23,9 +23,15 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "simd/sf_codes.hpp"
+
+#define GIST_KIMPL_NOVEC
+#define GIST_KIMPL_NS kernels_avx2_generic
+#include "simd/kernels_generic.hpp"
 
 namespace gist::simd {
 namespace {
@@ -273,16 +279,207 @@ binarizeBackwardAvx2(const std::uint8_t *bytes, const float *dy,
         const __m256i b = _mm256_set1_epi32(bytes[i >> 3]);
         const __m256i keep =
             _mm256_cmpeq_epi32(_mm256_and_si256(b, bitpos), bitpos);
-        const __m256 m = _mm256_and_ps(_mm256_loadu_ps(dy + i),
-                                       _mm256_castsi256_ps(keep));
-        _mm256_storeu_ps(dx + i, m);
+        // Cleared lanes add +0.0f (all-zero bits), as the scalar form.
+        const __m256 sel = _mm256_and_ps(_mm256_loadu_ps(dy + i),
+                                         _mm256_castsi256_ps(keep));
+        _mm256_storeu_ps(dx + i, _mm256_add_ps(_mm256_loadu_ps(dx + i),
+                                               sel));
     }
-    for (; i < n; ++i) {
-        const std::uint32_t keep =
-            maskOf((bytes[i >> 3] >> (i & 7)) & 1u);
-        reinterpret_cast<std::uint32_t *>(dx)[i] =
-            reinterpret_cast<const std::uint32_t *>(dy)[i] & keep;
+    for (; i < n; ++i)
+        dx[i] += (bytes[i >> 3] >> (i & 7)) & 1u ? dy[i] : 0.0f;
+}
+
+void
+reluBackwardAvx2(const float *y, const float *dy, std::int64_t n, float *dx)
+{
+    const __m256 zero = _mm256_setzero_ps();
+    std::int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 keep =
+            _mm256_cmp_ps(_mm256_loadu_ps(y + i), zero, _CMP_GT_OQ);
+        const __m256 sel = _mm256_and_ps(_mm256_loadu_ps(dy + i), keep);
+        _mm256_storeu_ps(dx + i, _mm256_add_ps(_mm256_loadu_ps(dx + i),
+                                               sel));
     }
+    for (; i < n; ++i)
+        dx[i] += y[i] > 0.0f ? dy[i] : 0.0f;
+}
+
+/** Lane mask of the first @p k lanes (0 <= k <= 8). */
+inline __m256i
+tailMask(std::int64_t k)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(k)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/**
+ * Lane masks for a run of k <= 8 cells of one output row at column
+ * stride S: `load` keeps every read inside the cells' own taps, `keep`
+ * masks the stores.
+ */
+template <int S>
+struct PoolMasks
+{
+    __m256i load[2];
+    __m256i keep;
+
+    explicit PoolMasks(std::int64_t k)
+    {
+        keep = tailMask(k);
+        if (S == 1) {
+            load[0] = load[1] = keep;
+        } else { // floats 0 .. 2k-2: lanes 0-7, then 7-14
+            load[0] = tailMask(std::min<std::int64_t>(8, 2 * k - 1));
+            load[1] = tailMask(std::max<std::int64_t>(0, 2 * k - 8));
+        }
+    }
+};
+
+/** Up to 8 cells of one output row: cell i reads tap t at w[i * S +
+ *  off[t]]. */
+template <int S>
+struct PoolBlock
+{
+    const float *w;
+    std::int64_t j;     ///< output index of the first cell
+    std::int64_t first; ///< index of the first cell in `first`
+    const PoolMasks<S> *m;
+
+    /** The cells' values of the tap at offset @p off. */
+    __m256
+    cells(std::int64_t off) const
+    {
+        const float *p = w + off;
+        if (S == 1)
+            return _mm256_maskload_ps(p, m->load[0]);
+        // Even floats of 0-7 and (from 7-14) of 8-14, then restore
+        // order across the 128-bit halves.
+        const __m256 a = _mm256_maskload_ps(p, m->load[0]);
+        const __m256 b = _mm256_maskload_ps(p + 7, m->load[1]);
+        const __m256 ev = _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 2, 0));
+        return _mm256_castpd_ps(_mm256_permute4x64_pd(
+            _mm256_castps_pd(ev), _MM_SHUFFLE(3, 1, 2, 0)));
+    }
+};
+
+/**
+ * Walks a PoolScan's output rows four 8-cell blocks at a time
+ * (independent compare chains hide their latency). Blocks past the end
+ * get all-zero masks, which read and store nothing.
+ */
+template <int S, typename Fn>
+inline void
+forPoolBlocks(const PoolScan &s, Fn &&fn)
+{
+    const PoolMasks<S> full(8), tail(s.cols % 8 ? s.cols % 8 : 8), none(0);
+    std::int64_t q = 0, r = 0, c = 0; // next block's first cell
+    for (std::int64_t j = 0, n = s.planes * s.rows * s.cols; j < n;) {
+        PoolBlock<S> blk[4];
+        for (auto &b : blk) {
+            if (j >= n) {
+                b = { s.src, 0, 0, &none };
+                continue;
+            }
+            const bool whole = s.cols - c >= 8;
+            b = { s.src + q * s.plane_pitch + r * s.row_pitch + c * S, j,
+                  r * s.cols + c, whole ? &full : &tail };
+            const std::int64_t k = whole ? 8 : s.cols - c;
+            j += k;
+            if ((c += k) == s.cols) {
+                c = 0;
+                if (++r == s.rows) {
+                    r = 0;
+                    ++q;
+                }
+            }
+        }
+        fn(blk);
+    }
+}
+
+template <int S>
+void
+maxPoolArgmaxRows(const PoolScan &s, const std::int32_t *first,
+                  float *best, std::int32_t *pos)
+{
+    forPoolBlocks<S>(s, [&](const PoolBlock<S> (&blk)[4]) {
+        __m256 b[4], p[4];
+        for (int u = 0; u < 4; ++u) {
+            b[u] = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+            p[u] = first ? _mm256_castsi256_ps(_mm256_maskload_epi32(
+                               first + blk[u].first, blk[u].m->keep))
+                         : _mm256_setzero_ps();
+        }
+        for (std::int64_t t = 0; t < s.taps; ++t) {
+            const __m256 tap = _mm256_castsi256_ps(
+                _mm256_set1_epi32(static_cast<int>(t)));
+            for (int u = 0; u < 4; ++u) {
+                const __m256 v = blk[u].cells(s.off[t]);
+                const __m256 gt = _mm256_cmp_ps(v, b[u], _CMP_GT_OQ);
+                // MAXPS returns its second operand unless the first is
+                // greater (NaN and equal values included): v > b ? v : b.
+                b[u] = _mm256_max_ps(v, b[u]);
+                p[u] = _mm256_blendv_ps(p[u], tap, gt);
+            }
+        }
+        for (int u = 0; u < 4; ++u) {
+            _mm256_maskstore_ps(best + blk[u].j, blk[u].m->keep, b[u]);
+            _mm256_maskstore_epi32(pos + blk[u].j, blk[u].m->keep,
+                                   _mm256_castps_si256(p[u]));
+        }
+    });
+}
+
+template <int S>
+void
+maxPoolMatchRows(const PoolScan &s, const float *y, std::int32_t *pos)
+{
+    forPoolBlocks<S>(s, [&](const PoolBlock<S> (&blk)[4]) {
+        __m256 yv[4], p[4];
+        for (int u = 0; u < 4; ++u) {
+            yv[u] = _mm256_maskload_ps(y + blk[u].j, blk[u].m->keep);
+            p[u] = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+        }
+        for (std::int64_t t = s.taps - 1; t >= 0; --t) {
+            const __m256 tap = _mm256_castsi256_ps(
+                _mm256_set1_epi32(static_cast<int>(t)));
+            for (int u = 0; u < 4; ++u) {
+                const __m256 eq =
+                    _mm256_cmp_ps(blk[u].cells(s.off[t]), yv[u], _CMP_EQ_OQ);
+                p[u] = _mm256_blendv_ps(p[u], tap, eq);
+            }
+        }
+        for (int u = 0; u < 4; ++u)
+            _mm256_maskstore_epi32(pos + blk[u].j, blk[u].m->keep,
+                                   _mm256_castps_si256(p[u]));
+    });
+}
+
+/* Column strides other than 1 and 2 (no model uses one) take the
+ * one-lane loops. */
+
+void
+maxPoolArgmaxAvx2(const PoolScan &s, const std::int32_t *first,
+                  float *best, std::int32_t *pos)
+{
+    if (s.col_stride == 1)
+        maxPoolArgmaxRows<1>(s, first, best, pos);
+    else if (s.col_stride == 2)
+        maxPoolArgmaxRows<2>(s, first, best, pos);
+    else
+        kernels_avx2_generic::maxPoolArgmax(s, first, best, pos);
+}
+
+void
+maxPoolMatchAvx2(const PoolScan &s, const float *y, std::int32_t *pos)
+{
+    if (s.col_stride == 1)
+        maxPoolMatchRows<1>(s, y, pos);
+    else if (s.col_stride == 2)
+        maxPoolMatchRows<2>(s, y, pos);
+    else
+        kernels_avx2_generic::maxPoolMatch(s, y, pos);
 }
 
 std::int64_t
@@ -528,6 +725,9 @@ avx2Ops()
           sfEncodeCodesAvx2<kSfFp8> },
         axpyAvx2,
         gemmMicroAvx2,
+        reluBackwardAvx2,
+        maxPoolArgmaxAvx2,
+        maxPoolMatchAvx2,
     };
     return ops;
 }

@@ -13,8 +13,10 @@
  *                     TU lets the compiler auto-vectorize the identical
  *                     branchless formulas.
  *
- * Everything here is branchless integer arithmetic from sf_codes.hpp,
- * so every instantiation produces bitwise-identical codec output.
+ * The codecs are branchless integer arithmetic from sf_codes.hpp and the
+ * layer kernels (ReLU backward, max pool) only compare, select and add
+ * single floats, so every instantiation produces bitwise-identical
+ * output.
  */
 
 #ifndef GIST_KIMPL_NS
@@ -22,6 +24,7 @@
 #endif
 
 #include <cstdint>
+#include <limits>
 
 #include "simd/dispatch.hpp"
 #include "simd/sf_codes.hpp"
@@ -97,13 +100,55 @@ GIST_KIMPL_NOVEC inline void
 binarizeBackward(const std::uint8_t *bytes, const float *dy, std::int64_t n,
                  float *dx)
 {
-    const auto *dy_bits = reinterpret_cast<const std::uint32_t *>(dy);
-    auto *dx_bits = reinterpret_cast<std::uint32_t *>(dx);
-    for (std::int64_t i = 0; i < n; ++i) {
-        const std::uint32_t keep =
-            maskOf((bytes[i >> 3] >> (i & 7)) & 1u);
-        dx_bits[i] = dy_bits[i] & keep;
-    }
+    for (std::int64_t i = 0; i < n; ++i)
+        dx[i] += (bytes[i >> 3] >> (i & 7)) & 1u ? dy[i] : 0.0f;
+}
+
+GIST_KIMPL_NOVEC inline void
+reluBackward(const float *y, const float *dy, std::int64_t n, float *dx)
+{
+    for (std::int64_t i = 0; i < n; ++i)
+        dx[i] += y[i] > 0.0f ? dy[i] : 0.0f;
+}
+
+GIST_KIMPL_NOVEC inline void
+maxPoolArgmax(const PoolScan &s, const std::int32_t *first, float *best,
+              std::int32_t *pos)
+{
+    std::int64_t j = 0;
+    for (std::int64_t q = 0; q < s.planes; ++q)
+        for (std::int64_t r = 0; r < s.rows; ++r)
+            for (std::int64_t c = 0; c < s.cols; ++c, ++j) {
+                const float *w = s.src + q * s.plane_pitch +
+                                 r * s.row_pitch + c * s.col_stride;
+                float b = -std::numeric_limits<float>::infinity();
+                std::int32_t p = first ? first[r * s.cols + c] : 0;
+                for (std::int64_t t = 0; t < s.taps; ++t) {
+                    const float v = w[s.off[t]];
+                    const bool gt = v > b;
+                    b = gt ? v : b;
+                    p = gt ? static_cast<std::int32_t>(t) : p;
+                }
+                best[j] = b;
+                pos[j] = p;
+            }
+}
+
+GIST_KIMPL_NOVEC inline void
+maxPoolMatch(const PoolScan &s, const float *y, std::int32_t *pos)
+{
+    std::int64_t j = 0;
+    for (std::int64_t q = 0; q < s.planes; ++q)
+        for (std::int64_t r = 0; r < s.rows; ++r)
+            for (std::int64_t c = 0; c < s.cols; ++c, ++j) {
+                const float *w = s.src + q * s.plane_pitch +
+                                 r * s.row_pitch + c * s.col_stride;
+                std::int32_t p = -1;
+                for (std::int64_t t = s.taps - 1; t >= 0; --t)
+                    p = w[s.off[t]] == y[j] ? static_cast<std::int32_t>(t)
+                                            : p;
+                pos[j] = p;
+            }
 }
 
 GIST_KIMPL_NOVEC inline std::int64_t

@@ -38,6 +38,9 @@ scalarOps()
           k::sfEncodeCodes<kSfFp8> },
         k::axpy,
         k::gemmMicro,
+        k::reluBackward,
+        k::maxPoolArgmax,
+        k::maxPoolMatch,
     };
     return ops;
 }

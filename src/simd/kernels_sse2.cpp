@@ -170,6 +170,9 @@ sse2Ops()
           k::sfEncodeCodes<kSfFp8> },
         k::axpy,
         k::gemmMicro,
+        k::reluBackward,
+        k::maxPoolArgmax,
+        k::maxPoolMatch,
     };
     return ops;
 }

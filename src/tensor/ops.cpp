@@ -31,40 +31,6 @@ reluForward(std::span<const float> x, std::span<float> y)
 }
 
 void
-reluBackward(std::span<const float> y, std::span<const float> dy,
-             std::span<float> dx)
-{
-    GIST_ASSERT(y.size() == dy.size() && y.size() == dx.size(),
-                "relu backward size mismatch");
-    const auto n = static_cast<std::int64_t>(y.size());
-    parallelFor(0, n, chooseGrain(n, kEwGrain),
-                [&](std::int64_t lo, std::int64_t hi) {
-                    for (std::int64_t i = lo; i < hi; ++i) {
-                        const auto s = static_cast<size_t>(i);
-                        dx[s] = y[s] > 0.0f ? dy[s] : 0.0f;
-                    }
-                });
-}
-
-void
-reluBackwardFromMask(std::span<const std::uint8_t> mask_bits,
-                     std::span<const float> dy, std::span<float> dx)
-{
-    GIST_ASSERT(dy.size() == dx.size(), "relu backward size mismatch");
-    GIST_ASSERT(mask_bits.size() * 8 >= dy.size(), "mask too small");
-    const auto n = static_cast<std::int64_t>(dy.size());
-    parallelFor(0, n, chooseGrain(n, kEwGrain),
-                [&](std::int64_t lo, std::int64_t hi) {
-                    for (std::int64_t i = lo; i < hi; ++i) {
-                        const auto s = static_cast<size_t>(i);
-                        const bool positive =
-                            (mask_bits[s >> 3] >> (s & 7)) & 1;
-                        dx[s] = positive ? dy[s] : 0.0f;
-                    }
-                });
-}
-
-void
 accumulate(std::span<const float> in, std::span<float> out)
 {
     GIST_ASSERT(in.size() == out.size(), "accumulate size mismatch");

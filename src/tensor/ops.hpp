@@ -15,17 +15,6 @@ class Tensor;
 /** y = max(x, 0). */
 void reluForward(std::span<const float> x, std::span<float> y);
 
-/**
- * dx = dy where y > 0, else 0 — ReLU backward needs only the *sign* of its
- * stashed output (the observation behind the Binarize encoding).
- */
-void reluBackward(std::span<const float> y, std::span<const float> dy,
-                  std::span<float> dx);
-
-/** Same as reluBackward, but driven by a precomputed sign mask. */
-void reluBackwardFromMask(std::span<const std::uint8_t> mask_bits,
-                          std::span<const float> dy, std::span<float> dx);
-
 /** out += in (element count must match). */
 void accumulate(std::span<const float> in, std::span<float> out);
 

@@ -6,14 +6,34 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "encodings/binarize.hpp"
-#include "tensor/ops.hpp"
+#include "layers/relu.hpp"
+#include "simd/dispatch.hpp"
 #include "util/rng.hpp"
 
 namespace gist {
 namespace {
+
+/** ReluLayer's dense-mode backward from a zero dx: y > 0 ? dy : 0. */
+std::vector<float>
+layerReluBackward(const std::vector<float> &y, const std::vector<float> &dy)
+{
+    const Shape shape{ static_cast<std::int64_t>(y.size()) };
+    Tensor yt(shape), dyt(shape), dxt(shape);
+    std::copy(y.begin(), y.end(), yt.data());
+    std::copy(dy.begin(), dy.end(), dyt.data());
+    ReluLayer relu;
+    BwdCtx ctx;
+    ctx.inputs = { nullptr };
+    ctx.output = &yt;
+    ctx.d_output = &dyt;
+    ctx.d_inputs = { &dxt };
+    relu.backward(ctx);
+    return { dxt.data(), dxt.data() + dxt.numel() };
+}
 
 TEST(Binarize, SizeIsOneBitPerValue)
 {
@@ -51,8 +71,7 @@ TEST(Binarize, MaskBackwardMatchesDenseBackward)
         for (auto &v : y)
             v = v > 0.0f ? v : 0.0f;
 
-        std::vector<float> dx_dense(static_cast<size_t>(n));
-        reluBackward(y, dy, dx_dense);
+        const std::vector<float> dx_dense = layerReluBackward(y, dy);
 
         BinarizedMask mask;
         mask.encode(y);
@@ -95,9 +114,12 @@ TEST(Binarize, ReluBackwardFromRawBits)
     std::vector<float> dy = { 10.0f, 20.0f, 30.0f, 40.0f };
     BinarizedMask mask;
     mask.encode(y);
-    std::vector<float> dx(4);
-    reluBackwardFromMask(mask.raw(), dy, dx);
-    EXPECT_EQ(dx, (std::vector<float>{ 10.0f, 0.0f, 30.0f, 0.0f }));
+    // The kernel accumulates: a -0.0 gradient plus +0.0 becomes +0.0.
+    std::vector<float> dx = { 1.0f, -0.0f, 0.0f, 0.5f };
+    simd::ops().binarizeBackward(mask.raw().data(), dy.data(), 4,
+                                 dx.data());
+    EXPECT_EQ(dx, (std::vector<float>{ 11.0f, 0.0f, 30.0f, 0.5f }));
+    EXPECT_FALSE(std::signbit(dx[1]));
 }
 
 } // namespace

@@ -13,8 +13,8 @@
  *     sign-preserved maxFinite, underflow flushes toward signed zero,
  *     normal range rounds to nearest-even within half an ulp — and the
  *     packed codec agrees bitwise with quantizeSmallFloat();
- *   - binarize masks equal (v > 0) exactly and reluBackward passes dy
- *     through bitwise;
+ *   - binarize masks equal (v > 0) exactly and reluBackward adds dy
+ *     (or +0) to dx exactly;
  *   - pool index maps are set/get-exact at every packing width;
  *   - the active SIMD backend agrees bitwise with the scalar reference.
  *
@@ -441,10 +441,11 @@ TEST(FuzzCodecs, BinarizeMaskAndReluBackwardAreExact)
                 std::vector<float> dx(d.size(), -3.0f);
                 mask.reluBackward(dy, dx);
                 for (size_t i = 0; i < d.size(); ++i) {
-                    const float expect = d[i] > 0.0f ? dy[i] : 0.0f;
+                    const float expect =
+                        -3.0f + (d[i] > 0.0f ? dy[i] : 0.0f);
                     if (!bitEqual(dx[i], expect))
                         return "reluBackward[" + std::to_string(i) +
-                               "] not a bitwise passthrough";
+                               "] not a bitwise accumulate";
                 }
                 return "";
             };

@@ -2,18 +2,38 @@
  * @file
  * Direct unit tests for the elementwise/reduction kernels in
  * tensor/ops.hpp (the layer tests cover them indirectly; these pin the
- * exact semantics).
+ * exact semantics), plus ReLU backward through ReluLayer and the mask.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "encodings/binarize.hpp"
+#include "layers/relu.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace gist {
 namespace {
+
+/** ReluLayer's dense-mode backward from a zero dx: y > 0 ? dy : 0. */
+std::vector<float>
+layerReluBackward(const std::vector<float> &y, const std::vector<float> &dy)
+{
+    const Shape shape{ static_cast<std::int64_t>(y.size()) };
+    Tensor yt(shape), dyt(shape), dxt(shape);
+    std::copy(y.begin(), y.end(), yt.data());
+    std::copy(dy.begin(), dy.end(), dyt.data());
+    ReluLayer relu;
+    BwdCtx ctx;
+    ctx.inputs = { nullptr };
+    ctx.output = &yt;
+    ctx.d_output = &dyt;
+    ctx.d_inputs = { &dxt };
+    relu.backward(ctx);
+    return { dxt.data(), dxt.data() + dxt.numel() };
+}
 
 TEST(Ops, ReluForwardClamps)
 {
@@ -27,9 +47,8 @@ TEST(Ops, ReluBackwardGatesOnOutputSign)
 {
     const std::vector<float> y = { 0.0f, 1.0f, 0.0f, 2.0f };
     const std::vector<float> dy = { 10.0f, 20.0f, 30.0f, 40.0f };
-    std::vector<float> dx(4);
-    reluBackward(y, dy, dx);
-    EXPECT_EQ(dx, (std::vector<float>{ 0.0f, 20.0f, 0.0f, 40.0f }));
+    EXPECT_EQ(layerReluBackward(y, dy),
+              (std::vector<float>{ 0.0f, 20.0f, 0.0f, 40.0f }));
 }
 
 TEST(Ops, AddAndAccumulate)
@@ -110,15 +129,14 @@ TEST(Ops, ReluBackwardFromMaskAgreesWithDense)
         y[i] = y[i] > 0 ? y[i] : 0.0f;
         dy[i] = rng.normal();
     }
-    std::vector<float> dense(y.size());
-    reluBackward(y, dy, dense);
+    const std::vector<float> dense = layerReluBackward(y, dy);
 
-    std::vector<std::uint8_t> bits((y.size() + 7) / 8, 0);
+    BinarizedMask mask;
+    mask.resize(static_cast<std::int64_t>(y.size()));
     for (size_t i = 0; i < y.size(); ++i)
-        if (y[i] > 0.0f)
-            bits[i >> 3] |= static_cast<std::uint8_t>(1u << (i & 7));
+        mask.set(static_cast<std::int64_t>(i), y[i] > 0.0f);
     std::vector<float> masked(y.size());
-    reluBackwardFromMask(bits, dy, masked);
+    mask.reluBackward(dy, masked);
     EXPECT_EQ(dense, masked);
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "encodings/pool_index_map.hpp"
 #include "util/rng.hpp"
 
@@ -71,6 +73,42 @@ TEST(PoolIndexMap, AdjacentNibblesDoNotInterfere)
     map.set(0, 1);
     EXPECT_EQ(map.get(0), 1);
     EXPECT_EQ(map.get(1), 3);
+}
+
+TEST(PoolIndexMap, RowsMatchSetGetAtEveryOffset)
+{
+    // setRow/getRow over every [i0, i0 + count) of a small map, odd
+    // starts and ends included, must equal entry-wise set/get and leave
+    // the entries outside the row untouched.
+    Rng rng(5);
+    for (const std::int64_t k : { 3, 5 }) { // 4-bit and 8-bit entries
+        const std::int64_t n = 11;
+        for (std::int64_t i0 = 0; i0 <= n; ++i0)
+            for (std::int64_t count = 0; i0 + count <= n; ++count) {
+                PoolIndexMap rows, ref;
+                rows.configure(n, k, k);
+                ref.configure(n, k, k);
+                for (std::int64_t i = 0; i < n; ++i) {
+                    const auto v = static_cast<std::int64_t>(
+                        rng.uniformInt(static_cast<std::uint64_t>(k * k)));
+                    rows.set(i, v);
+                    ref.set(i, v);
+                }
+                std::vector<std::int32_t> pos(static_cast<size_t>(count));
+                for (auto &p : pos)
+                    p = static_cast<std::int32_t>(rng.uniformInt(
+                        static_cast<std::uint64_t>(k * k)));
+                rows.setRow(i0, pos.data(), count);
+                for (std::int64_t c = 0; c < count; ++c)
+                    ref.set(i0 + c, pos[static_cast<size_t>(c)]);
+                for (std::int64_t i = 0; i < n; ++i)
+                    ASSERT_EQ(rows.get(i), ref.get(i))
+                        << "k " << k << " row " << i0 << "+" << count;
+                std::vector<std::int32_t> back(static_cast<size_t>(count));
+                rows.getRow(i0, count, back.data());
+                EXPECT_EQ(back, pos);
+            }
+    }
 }
 
 TEST(PoolIndexMapDeath, IndexOutOfRangeAborts)

@@ -3,8 +3,9 @@
  * SIMD backend equivalence tests. The scalar backend is the bitwise
  * source of truth: every other compiled-in backend must produce
  * byte-identical output for the integer codec kernels (DPR small-float
- * encode/decode/quantize, binarize pack/backward, CSR nonzero count)
- * over a value sweep that hits the nasty corners — denormals, ±inf,
+ * encode/decode/quantize, binarize pack, CSR nonzero count) and the
+ * compare/select layer kernels (ReLU backward, max-pool scans) over a
+ * value sweep that hits the nasty corners — denormals, ±inf,
  * NaN, ±0, RNE ties, format overflow/underflow boundaries, and spans
  * with odd tails. The float kernels (axpy, the GEMM microkernel) are
  * only required to be close (they may use FMA), so they get a tolerance
@@ -210,6 +211,18 @@ TEST_F(SimdEquivalence, EncodeDecodeRoundTripIsIdempotent)
     }
 }
 
+/** Accumulator start states for the ReLU kernels: signed zeros (the
+ *  add-not-store case) mixed with ordinary gradients. */
+std::vector<float>
+startGradients(size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<float> dx(n);
+    for (size_t i = 0; i < n; ++i)
+        dx[i] = i % 3 == 0 ? -0.0f : i % 3 == 1 ? 0.0f : rng.normal();
+    return dx;
+}
+
 TEST_F(SimdEquivalence, BinarizeKernelsBitwiseIdenticalAcrossBackends)
 {
     const auto values = sweepValues();
@@ -217,14 +230,20 @@ TEST_F(SimdEquivalence, BinarizeKernelsBitwiseIdenticalAcrossBackends)
     std::vector<float> dy(values.size());
     for (auto &g : dy)
         g = rng.normal();
+    for (size_t i = 0; i < dy.size(); i += 5)
+        dy[i] = -0.0f; // a -0.0 gradient must not survive a clear bit
+    const auto dx0 = startGradients(values.size(), 78);
 
     for (std::int64_t n : kSpanSizes) {
         const size_t nbytes = static_cast<size_t>((n + 7) / 8);
         std::vector<std::uint8_t> ref_bits(nbytes + 1, 0xcd);
         scalarOps().binarizeEncode(values.data(), n, ref_bits.data());
-        std::vector<float> ref_dx(static_cast<size_t>(n));
-        scalarOps().binarizeBackward(ref_bits.data(), dy.data(), n,
-                                     ref_dx.data());
+        // Independent reference: dx += bit ? dy : +0.0f.
+        std::vector<float> ref_dx(dx0.begin(), dx0.begin() + n);
+        for (std::int64_t i = 0; i < n; ++i) {
+            const auto k = static_cast<size_t>(i);
+            ref_dx[k] += values[k] > 0.0f ? dy[k] : 0.0f;
+        }
 
         for (Backend b : availableBackends()) {
             const SimdOps &o = opsFor(b);
@@ -236,11 +255,130 @@ TEST_F(SimdEquivalence, BinarizeKernelsBitwiseIdenticalAcrossBackends)
             ASSERT_EQ(0xcdu, bits[nbytes])
                 << o.name << " binarize wrote past ceil(n/8)";
 
-            std::vector<float> dx(static_cast<size_t>(n));
+            std::vector<float> dx(dx0.begin(), dx0.begin() + n);
             o.binarizeBackward(ref_bits.data(), dy.data(), n, dx.data());
             ASSERT_TRUE(sameBytes(dx.data(), ref_dx.data(),
                                   static_cast<size_t>(n) * 4))
                 << o.name << " binarize backward n " << n;
+        }
+    }
+}
+
+TEST_F(SimdEquivalence, ReluBackwardBitwiseIdenticalAcrossBackends)
+{
+    const auto y = sweepValues(); // NaN, ±0, ±inf, denormals as Y
+    Rng rng(79);
+    std::vector<float> dy(y.size());
+    for (auto &g : dy)
+        g = rng.normal();
+    for (size_t i = 0; i < dy.size(); i += 5)
+        dy[i] = -0.0f;
+    const auto dx0 = startGradients(y.size(), 80);
+
+    for (std::int64_t n : kSpanSizes) {
+        std::vector<float> ref(dx0.begin(), dx0.begin() + n);
+        for (std::int64_t i = 0; i < n; ++i) {
+            const auto k = static_cast<size_t>(i);
+            ref[k] += y[k] > 0.0f ? dy[k] : 0.0f;
+        }
+        for (Backend b : availableBackends()) {
+            std::vector<float> dx(dx0.begin(), dx0.begin() + n);
+            opsFor(b).reluBackward(y.data(), dy.data(), n, dx.data());
+            ASSERT_TRUE(sameBytes(dx.data(), ref.data(),
+                                  static_cast<size_t>(n) * 4))
+                << opsFor(b).name << " relu backward n " << n;
+        }
+    }
+}
+
+TEST_F(SimdEquivalence, MaxPoolScansBitwiseIdenticalAcrossBackends)
+{
+    // Few distinct values so taps tie often, plus -inf, NaN and ±0. The
+    // source ends at the last element a scan may read, so an over-read
+    // of a vector tail shows under ASan.
+    Rng rng(81);
+    const float specials[] = { -std::numeric_limits<float>::infinity(),
+                               std::numeric_limits<float>::quiet_NaN(),
+                               0.0f, -0.0f };
+    auto pick = [&](std::int64_t lo, std::int64_t hi) {
+        return lo + static_cast<std::int64_t>(
+                        rng.uniformInt(static_cast<std::uint64_t>(hi - lo)));
+    };
+    for (int cs = 0; cs < 300; ++cs) {
+        const std::int64_t kh = pick(1, 4), kw = pick(1, 4);
+        PoolScan s{};
+        s.col_stride = pick(1, 4);
+        s.planes = pick(1, 4);
+        s.rows = pick(1, 6);
+        s.cols = pick(1, 22);
+        const std::int64_t pitch = (s.cols - 1) * s.col_stride + kw +
+                                   pick(0, 3);
+        s.row_pitch = pitch * pick(1, 3);
+        s.plane_pitch = (s.rows - 1) * s.row_pitch + kh * pitch + pick(0, 5);
+        std::vector<std::int64_t> off;
+        for (std::int64_t a = 0; a < kh; ++a)
+            for (std::int64_t b = 0; b < kw; ++b)
+                off.push_back(a * pitch + b);
+        s.off = off.data();
+        s.taps = static_cast<std::int64_t>(off.size());
+        const std::int64_t last = (s.planes - 1) * s.plane_pitch +
+                                  (s.rows - 1) * s.row_pitch +
+                                  (s.cols - 1) * s.col_stride + off.back();
+        std::vector<float> src(static_cast<size_t>(last + 1));
+        for (auto &v : src)
+            v = rng.uniform() < 0.2
+                    ? specials[rng.uniformInt(4)]
+                    : static_cast<float>(rng.uniformInt(5)) - 2.0f;
+        s.src = src.data();
+
+        const auto per_plane = static_cast<size_t>(s.rows * s.cols);
+        const size_t n = static_cast<size_t>(s.planes) * per_plane;
+        std::vector<std::int32_t> first(per_plane);
+        for (auto &f : first)
+            f = static_cast<std::int32_t>(rng.uniformInt(3));
+        const bool null_first = cs % 3 == 0;
+        std::vector<float> y(n);
+        // Independent references: first strict maximum, first match.
+        std::vector<float> ref_best(n);
+        std::vector<std::int32_t> ref_pos(n), ref_match(n);
+        size_t j = 0;
+        for (std::int64_t q = 0; q < s.planes; ++q)
+            for (std::int64_t r = 0; r < s.rows; ++r)
+                for (std::int64_t c = 0; c < s.cols; ++c, ++j) {
+                    const float *w = src.data() + q * s.plane_pitch +
+                                     r * s.row_pitch + c * s.col_stride;
+                    y[j] = w[off[rng.uniformInt(off.size())]];
+                    float best = -std::numeric_limits<float>::infinity();
+                    std::int32_t pos =
+                        null_first ? 0
+                                   : first[static_cast<size_t>(
+                                         r * s.cols + c)];
+                    std::int32_t match = -1;
+                    for (size_t t = 0; t < off.size(); ++t) {
+                        if (w[off[t]] > best) {
+                            best = w[off[t]];
+                            pos = static_cast<std::int32_t>(t);
+                        }
+                        if (match < 0 && w[off[t]] == y[j])
+                            match = static_cast<std::int32_t>(t);
+                    }
+                    ref_best[j] = best;
+                    ref_pos[j] = pos;
+                    ref_match[j] = match;
+                }
+        for (Backend b : availableBackends()) {
+            const SimdOps &o = opsFor(b);
+            std::vector<float> best(n);
+            std::vector<std::int32_t> pos(n), match(n);
+            o.maxPoolArgmax(s, null_first ? nullptr : first.data(),
+                            best.data(), pos.data());
+            ASSERT_TRUE(sameBytes(best.data(), ref_best.data(), n * 4))
+                << o.name << " maxPoolArgmax best, case " << cs;
+            ASSERT_EQ(pos, ref_pos) << o.name << " maxPoolArgmax, case "
+                                    << cs;
+            o.maxPoolMatch(s, y.data(), match.data());
+            ASSERT_EQ(match, ref_match)
+                << o.name << " maxPoolMatch, case " << cs;
         }
     }
 }
