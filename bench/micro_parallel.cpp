@@ -179,19 +179,18 @@ main(int argc, char **argv)
                 "N-thread", "spdup", "parallel");
 
     // --- gemm: m = n = k = 512, then the tiny VGG16 conv6 per-image
-    //     forward (48 x 16 x 432) and dX (432 x 16 x 48) shapes the
-    //     training step runs ---
+    //     forward shape (48 x 16 x 432) and that layer's dX for one
+    //     image through gemmConvDx (48 x 16 x 432 as well: 48 input
+    //     channels, a 4x4 image, 48 filters of 3x3) ---
     {
         struct GemmShape
         {
             const char *name;
-            bool trans_a;
             std::int64_t m, n, k;
         };
         const GemmShape shapes[] = {
-            { "gemm_512", false, 512, 512, 512 },
-            { "gemm_conv_fwd", false, 48, 16, 432 },
-            { "gemm_conv_dx", true, 432, 16, 48 },
+            { "gemm_512", 512, 512, 512 },
+            { "gemm_conv_fwd", 48, 16, 432 },
         };
         for (const GemmShape &g : shapes) {
             const auto a = randomDense(g.m * g.k, 1);
@@ -199,12 +198,38 @@ main(int argc, char **argv)
             runPath(g.name, par, 2.0 * static_cast<double>(g.m) * g.n * g.k,
                     static_cast<size_t>(g.m * g.n) * sizeof(float),
                     [&](void *out) {
-                        gist::gemm(g.trans_a, false, g.m, g.n, g.k, 1.0f,
+                        gist::gemm(false, false, g.m, g.n, g.k, 1.0f,
                                    a.data(), b.data(), 0.0f,
                                    static_cast<float *>(out));
                     },
                     "GFLOP/s");
         }
+
+        gist::ConvGeometry conv6;
+        conv6.in_c = 48;
+        conv6.in_h = 4;
+        conv6.in_w = 4;
+        conv6.kernel_h = 3;
+        conv6.kernel_w = 3;
+        conv6.pad_h = 1;
+        conv6.pad_w = 1;
+        const std::int64_t out_c = 48;
+        const std::int64_t image = conv6.in_c * conv6.in_h * conv6.in_w;
+        const auto w = randomDense(out_c * conv6.colRows(), 1);
+        const auto dy = randomDense(out_c * conv6.colCols(), 2);
+        // gemmConvDx accumulates into dX, so each run zeroes it first.
+        runPath("gemm_conv_dx", par,
+                2.0 * static_cast<double>(conv6.in_c * conv6.colCols()) *
+                    static_cast<double>(out_c * conv6.kernel_h *
+                                        conv6.kernel_w),
+                static_cast<size_t>(image) * sizeof(float),
+                [&](void *out) {
+                    std::memset(out, 0,
+                                static_cast<size_t>(image) * sizeof(float));
+                    gist::gemmConvDx(conv6, 1, out_c, w.data(), dy.data(),
+                                     static_cast<float *>(out));
+                },
+                "GFLOP/s");
     }
 
     // --- im2col (VGG-ish 3x3 conv geometry) ---

@@ -2,12 +2,14 @@
  * @file
  * SIMD backend microbenchmark: times each dispatched kernel once with
  * the scalar reference backend and once with the best ISA this machine
- * offers, reports GB/s (GFLOP/s for gemm_micro) for both plus the
+ * offers, reports GB/s (GFLOP/s for the GEMM rows) for both plus the
  * speedup, and memcmp-verifies that the integer codec kernels produced
  * byte-identical output (the cross-backend bitwise contract; the GEMM
- * kernels are float kernels and are exempt). Runs single-threaded so
- * the ratio isolates the ISA effect from thread scaling (micro_parallel
- * covers the latter).
+ * block kernel rounds differently on scalar). A gemm_micro_avx512 row
+ * times the avx512 block kernel against avx2's and memcmp-verifies the
+ * two, which must be bitwise-equal. Runs single-threaded so the ratio
+ * isolates the ISA effect from thread scaling (micro_parallel covers
+ * the latter).
  *
  * Usage: micro_simd [--json <path>]
  *   --json    write one JSON object with per-kernel rows, consumed by
@@ -60,6 +62,7 @@ timeIt(const std::function<void()> &fn)
 struct KernelResult
 {
     std::string name;
+    std::string baseline; ///< the backend "scalar_gbps" was measured on
     double scalar_gbps = 0.0;
     double simd_gbps = 0.0;
     bool bitwise_identical = true; ///< always true for float kernels
@@ -70,17 +73,18 @@ struct KernelResult
 std::vector<KernelResult> g_results;
 
 /**
- * Benchmark one kernel on both backends. run(ops, out) executes the
- * kernel through the given table writing its result into out;
- * out_bytes > 0 requests a byte-compare between the two backends.
- * @p work is the bytes (or, with unit "GFLOP/s", flops) one call does.
+ * Benchmark one kernel on two backends, @p base (default scalar) and
+ * the best one. run(ops, out) executes the kernel through the given
+ * table writing its result into out; out_bytes > 0 requests a
+ * byte-compare between the two backends. @p work is the bytes (or,
+ * with unit "GFLOP/s", flops) one call does.
  */
 void
 runKernel(const std::string &name, double work, size_t out_bytes,
           const std::function<void(const SimdOps &, void *)> &run,
-          const char *unit = "GB/s")
+          const char *unit = "GB/s", Backend base = Backend::Scalar)
 {
-    const SimdOps &scalar = opsFor(Backend::Scalar);
+    const SimdOps &scalar = opsFor(base);
     const SimdOps &best = opsFor(bestBackend());
 
     std::vector<unsigned char> out_scalar(out_bytes);
@@ -88,6 +92,7 @@ runKernel(const std::string &name, double work, size_t out_bytes,
 
     KernelResult res;
     res.name = name;
+    res.baseline = scalar.name;
     const double s_scalar =
         timeIt([&] { run(scalar, out_scalar.data()); });
     const double s_simd = timeIt([&] { run(best, out_simd.data()); });
@@ -97,12 +102,14 @@ runKernel(const std::string &name, double work, size_t out_bytes,
         out_bytes == 0 ||
         std::memcmp(out_scalar.data(), out_simd.data(), out_bytes) == 0;
 
-    std::printf("%-20s %8.2f %-7s %8.2f %-7s %5.2fx   %s\n",
+    std::printf("%-20s %8.2f %-7s %8.2f %-7s %5.2fx   %s%s%s\n",
                 name.c_str(), res.scalar_gbps, unit, res.simd_gbps, unit,
                 res.speedup(),
                 out_bytes == 0 ? "float"
                 : res.bitwise_identical ? "bitwise-ok"
-                                        : "MISMATCH");
+                                        : "MISMATCH",
+                base == Backend::Scalar ? "" : " vs ",
+                base == Backend::Scalar ? "" : scalar.name);
     g_results.push_back(res);
 }
 
@@ -257,33 +264,44 @@ main(int argc, char **argv)
                   });
     }
 
-    // --- GEMM register microkernel (float: no bitwise contract): one
-    //     L1-resident KC = 128 panel/strip pair, accumulated into a
-    //     full MR x NR tile; the rate is GFLOP/s. ---
+    // --- GEMM block kernel: one L1-resident KC = 128 A block of MC = 48
+    //     rows (8 panels) against one strip, accumulated into a 48 x 16
+    //     C block; the rate is GFLOP/s. Float kernel: scalar rounds
+    //     apart, so no parity there. avx512 against avx2 must be
+    //     bitwise-equal: each run restarts C from c0 so that both
+    //     backends end on the same chains. ---
     {
         const std::int64_t kc = 128;
+        const std::int64_t mc = 48;
         const int calls = 64;
-        std::vector<float> a(src.begin(),
-                             src.begin() + kc * kGemmMR);
-        std::vector<float> b(src.begin(),
-                             src.begin() + kc * kGemmNR);
-        std::vector<float> c(
-            static_cast<size_t>(kGemmMR * kGemmNR));
-        runKernel("gemm_micro",
-                  2.0 * calls * kc * kGemmMR * kGemmNR, 0,
-                  [&](const SimdOps &o, void *) {
-                      for (int r = 0; r < calls; ++r)
-                          o.gemmMicro(kc, a.data(), b.data(), c.data(),
-                                      kGemmNR, kGemmMR,
-                                      kGemmNR, true);
-                  },
+        std::vector<float> a(src.begin(), src.begin() + kc * mc);
+        std::vector<float> b(src.begin(), src.begin() + kc * kGemmNR);
+        std::vector<float> c0(src.begin(), src.begin() + mc * kGemmNR);
+        const size_t c_bytes = c0.size() * sizeof(float);
+        const double flops = 2.0 * calls * kc * mc * kGemmNR;
+        const auto gemm_run = [&](const SimdOps &o, void *out) {
+            auto *c = static_cast<float *>(out);
+            std::memcpy(c, c0.data(), c_bytes);
+            for (int r = 0; r < calls; ++r)
+                o.gemmBlock(kc, a.data(), mc, b.data(), c, kGemmNR, kGemmNR,
+                            true);
+        };
+        std::vector<float> c(c0.size());
+        runKernel("gemm_micro", flops, 0,
+                  [&](const SimdOps &o, void *) { gemm_run(o, c.data()); },
                   "GFLOP/s");
+        if (bestBackend() == Backend::Avx512)
+            runKernel("gemm_micro_avx512", flops, c_bytes, gemm_run,
+                      "GFLOP/s", Backend::Avx2);
+        else
+            std::printf("%-20s skipped: no avx512f on this CPU\n",
+                        "gemm_micro_avx512");
     }
 
     bool all_ok = true;
     for (const auto &r : g_results)
         all_ok = all_ok && r.bitwise_identical;
-    std::printf("\ncodec bitwise parity: %s\n", all_ok ? "PASS" : "FAIL");
+    std::printf("\nbitwise parity: %s\n", all_ok ? "PASS" : "FAIL");
 
     if (!json_path.empty()) {
         std::FILE *f = std::fopen(json_path.c_str(), "w");
@@ -299,10 +317,12 @@ main(int argc, char **argv)
             const auto &r = g_results[i];
             std::fprintf(
                 f,
-                "    {\"name\": \"%s\", \"scalar_gbps\": %.3f, "
+                "    {\"name\": \"%s\", \"baseline\": \"%s\", "
+                "\"scalar_gbps\": %.3f, "
                 "\"simd_gbps\": %.3f, \"speedup\": %.3f, "
                 "\"bitwise_identical\": %s}%s\n",
-                r.name.c_str(), r.scalar_gbps, r.simd_gbps, r.speedup(),
+                r.name.c_str(), r.baseline.c_str(), r.scalar_gbps,
+                r.simd_gbps, r.speedup(),
                 r.bitwise_identical ? "true" : "false",
                 i + 1 < g_results.size() ? "," : "");
         }

@@ -170,25 +170,29 @@ ConvLayer::backward(const BwdCtx &ctx)
     const std::int64_t k = g.colRows();
     const std::int64_t p = g.colCols();
     const std::int64_t out_c = spec_.out_channels;
+
+    d_weight.setZero();
+    if (spec_.bias)
+        d_bias.setZero();
+
+    // dX reads only W and dY: one implicit GEMM per sub-pixel phase over
+    // the whole batch, accumulating into dX, before any tile buffer is
+    // taken.
+    if (dx)
+        gemmConvDx(g, batch, out_c, weight.data(), dy.data(), dx->data());
+
     // "Optimized software" (paper Section V-H): an encoded stash is
     // decoded one tile of images at a time, never to a full FP32
-    // buffer. The tile buffer holds k * p floats (at least one image)
-    // and doubles as dX's column-gradient scratch, so the tile size is
+    // buffer. The tile buffer holds k * p floats (at least one image),
+    // the workspace the planner charges a conv, so the tile size is
     // fixed by the geometry: 9 images for a 3x3 stride-1 conv, 1 for a
     // 1x1. A dense X is read in place, the whole batch as one tile.
     const bool decode = !x;
     const std::int64_t buf_elems = std::max(k * p, image_elems);
     const std::int64_t tile = decode ? buf_elems / image_elems : batch;
     ArenaScope scope;
-    // Without a decode the buffer is only dX's: it is taken after the
-    // dW GEMM, so that GEMM's pack scratch and it never share the frame.
     float *buf = decode ? scope.alloc<float>(static_cast<size_t>(buf_elems))
                         : nullptr;
-
-    d_weight.setZero();
-    if (spec_.bias)
-        d_bias.setZero();
-
     for (std::int64_t t0 = 0; t0 < batch; t0 += tile) {
         const std::int64_t t1 = std::min(batch, t0 + tile);
         if (decode)
@@ -199,16 +203,6 @@ ConvLayer::backward(const BwdCtx &ctx)
         gemmConvDw(g, t1 - t0, out_c, dy.data() + t0 * out_c * p,
                    decode ? buf : x->data() + t0 * image_elems,
                    d_weight.data());
-
-        if (dx && !buf)
-            buf = scope.alloc<float>(static_cast<size_t>(k * p));
-        for (std::int64_t img = t0; dx && img < t1; ++img) {
-            // dcol (k x p) = W^T (k x out_c) * dY (out_c x p), into the
-            // tile buffer the dW GEMM is done with.
-            gemm(true, false, k, p, out_c, 1.0f, weight.data(),
-                 dy.data() + img * out_c * p, 0.0f, buf);
-            col2im(g, buf, dx->data() + img * image_elems); // accumulates
-        }
     }
     if (spec_.bias)
         biasGrad(dy.data(), batch, out_c, p, d_bias.data());

@@ -46,6 +46,17 @@ cpuHasAvx2()
 #endif
 }
 
+bool
+cpuHasAvx512()
+{
+#if GIST_SIMD_X86 && defined(__GNUC__)
+    // The avx512 table keeps avx2's kernels for everything but GEMM.
+    return cpuHasAvx2() && __builtin_cpu_supports("avx512f");
+#else
+    return false;
+#endif
+}
+
 const SimdOps *
 resolveFromEnv()
 {
@@ -55,7 +66,7 @@ resolveFromEnv()
         if (!parseBackend(env, &requested)) {
             std::fprintf(stderr,
                          "gist: GIST_SIMD=%s not recognized "
-                         "(scalar|sse2|avx2); using %s\n",
+                         "(scalar|sse2|avx2|avx512); using %s\n",
                          env, backendName(b));
         } else if (!backendAvailable(requested)) {
             std::fprintf(stderr,
@@ -109,6 +120,7 @@ backendName(Backend b)
     case Backend::Scalar: return "scalar";
     case Backend::Sse2: return "sse2";
     case Backend::Avx2: return "avx2";
+    case Backend::Avx512: return "avx512";
     }
     return "?";
 }
@@ -131,6 +143,12 @@ backendAvailable(Backend b)
 #else
         return false;
 #endif
+    case Backend::Avx512:
+#if GIST_SIMD_HAVE_ISA
+        return cpuHasAvx512();
+#else
+        return false;
+#endif
     }
     return false;
 }
@@ -138,6 +156,8 @@ backendAvailable(Backend b)
 Backend
 bestBackend()
 {
+    if (backendAvailable(Backend::Avx512))
+        return Backend::Avx512;
     if (backendAvailable(Backend::Avx2))
         return Backend::Avx2;
     if (backendAvailable(Backend::Sse2))
@@ -149,6 +169,8 @@ const SimdOps &
 opsFor(Backend b)
 {
 #if GIST_SIMD_HAVE_ISA
+    if (b == Backend::Avx512 && backendAvailable(Backend::Avx512))
+        return avx512Ops();
     if (b == Backend::Avx2 && backendAvailable(Backend::Avx2))
         return avx2Ops();
     if (b == Backend::Sse2 && backendAvailable(Backend::Sse2))
@@ -171,6 +193,10 @@ parseBackend(const char *s, Backend *out)
     }
     if (std::strcmp(s, "avx2") == 0) {
         *out = Backend::Avx2;
+        return true;
+    }
+    if (std::strcmp(s, "avx512") == 0) {
+        *out = Backend::Avx512;
         return true;
     }
     return false;

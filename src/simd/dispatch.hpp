@@ -3,24 +3,27 @@
  * Runtime-dispatched SIMD kernel table for the codec, GEMM and
  * memory-bound layer (ReLU, max pool) hot paths.
  *
- * Three backends, each a separate translation unit compiled with its own
+ * Four backends, each a separate translation unit compiled with its own
  * -march flags (src/simd/CMakeLists.txt):
  *
  *   scalar  branchless reference (codec loops pinned unvectorized) — the
  *           bitwise source of truth the equivalence tests sweep against;
  *   sse2    the same generic kernels auto-vectorized for the x86-64
  *           SSE4.2 baseline;
- *   avx2    hand-written 8-wide AVX2/FMA intrinsics.
+ *   avx2    hand-written 8-wide AVX2/FMA intrinsics;
+ *   avx512  avx2's table with an AVX-512F GEMM block kernel.
  *
  * The active backend is chosen once at first use: the GIST_SIMD
- * environment variable (scalar | sse2 | avx2) wins if set and
+ * environment variable (scalar | sse2 | avx2 | avx512) wins if set and
  * available, else the best ISA the CPU reports (probed via
  * __builtin_cpu_supports on x86). setBackend() overrides at runtime
  * (bench/tests). The integer codec kernels and the compare/select/add
  * layer kernels (ReLU backward, max pool) are bitwise-identical across
- * backends by construction; the float GEMM kernels (axpy, gemmMicro) may
- * round differently (FMA contraction) and are only required to be
- * deterministic within a backend.
+ * backends by construction. The float GEMM kernels (axpy, gemmBlock)
+ * fuse each multiply-add into one FMA on avx2 and avx512 and round the
+ * product and the sum apart on scalar and sse2. So avx2 and avx512 are
+ * bitwise-equal, while scalar/sse2 may differ from them in the last
+ * bits.
  *
  * Every function pointer operates on a caller-chunked range, so
  * parallelFor call sites dispatch once per chunk, not per element.
@@ -30,7 +33,8 @@
 
 #include <cstdint>
 
-/** 1 on x86-64 / x86 targets, where the sse2 and avx2 TUs have bodies. */
+/** 1 on x86-64 / x86 targets, where the sse2, avx2 and avx512 TUs have
+ *  bodies. */
 #if defined(__x86_64__) || defined(_M_X64) || defined(__i386__) || \
     defined(_M_IX86)
 #define GIST_SIMD_X86 1
@@ -40,8 +44,9 @@
 
 namespace gist::simd {
 
-enum class Backend { Scalar = 0, Sse2 = 1, Avx2 = 2 };
-inline constexpr int kNumBackends = 3;
+/** Backends in order of strength. */
+enum class Backend { Scalar = 0, Sse2 = 1, Avx2 = 2, Avx512 = 3 };
+inline constexpr int kNumBackends = 4;
 
 /** Microkernel tile: rows of a packed A panel, columns of a B strip.
  *  Shared by every backend, so all of them use one pack layout. */
@@ -121,21 +126,24 @@ struct SimdOps
     void (*sfEncodeCodes[3])(const float *src, std::int64_t n,
                              std::uint32_t *codes);
 
-    /** y[i] += a * x[i]; backend-deterministic, not cross-backend exact. */
+    /** y[i] += a * x[i]; fused on avx2/avx512 (see the file comment). */
     void (*axpy)(std::int64_t n, float a, const float *x, float *y);
 
     /**
-     * GEMM register microkernel: the top-left mr x nr corner (mr <=
-     * kGemmMR, nr <= kGemmNR) of one kGemmMR x kGemmNR C tile (row
-     * stride ldc) gets the product of a packed A panel (a[p * kGemmMR +
-     * i]) and a packed B strip (b[p * kGemmNR + j]) over p in [0, kc).
-     * Each element is one chain c = c + a * b over p ascending, started
-     * from C when @p accumulate, else from +0 (C is then never read).
-     * Panel rows >= mr and strip columns >= nr are read but never
-     * stored. Backend-deterministic, not cross-backend exact (FMA).
+     * GEMM block kernel: runs one packed B strip (b[p * kGemmNR + j], p
+     * in [0, kc)) down every kGemmMR-row panel of a packed A block that
+     * covers @p mc rows (panel q at a + q * kc * kGemmMR, holding
+     * a[p * kGemmMR + i]). Block row i of C starts at c + i * ldc; its
+     * first nr (<= kGemmNR) columns get the product. Each C element is
+     * one chain c = c + a * b over p ascending, started from C when
+     * @p accumulate, else from +0 (C is then never read). Panel rows >=
+     * mc and strip columns >= nr are read but never stored. How a
+     * backend walks the panels (one at a time, or several per pass)
+     * never changes a chain, so the result depends only on whether the
+     * backend fuses the multiply-add: avx2 ≡ avx512 bit for bit.
      */
-    void (*gemmMicro)(std::int64_t kc, const float *a, const float *b,
-                      float *c, std::int64_t ldc, std::int64_t mr,
+    void (*gemmBlock)(std::int64_t kc, const float *a, std::int64_t mc,
+                      const float *b, float *c, std::int64_t ldc,
                       std::int64_t nr, bool accumulate);
 
     /** Dense ReLU backward: dx[i] += y[i] > 0 ? dy[i] : +0.0f. */
@@ -166,7 +174,7 @@ const SimdOps &ops();
 /** Backend of the active table. */
 Backend activeBackend();
 
-/** Human-readable name ("scalar", "sse2", "avx2"). */
+/** Human-readable name ("scalar", "sse2", "avx2", "avx512"). */
 const char *backendName(Backend b);
 
 /** True if the backend was compiled in AND this CPU can run it. */
@@ -185,7 +193,8 @@ const SimdOps &opsFor(Backend b);
 void setBackend(Backend b);
 
 /**
- * Parse a GIST_SIMD value ("scalar" | "sse2" | "avx2", case-sensitive).
+ * Parse a GIST_SIMD value ("scalar" | "sse2" | "avx2" | "avx512",
+ * case-sensitive).
  * Returns false (leaving @p out untouched) for anything else.
  */
 bool parseBackend(const char *s, Backend *out);
@@ -197,12 +206,14 @@ bool parseBackend(const char *s, Backend *out);
  */
 Backend initFromEnv();
 
-/* Per-backend tables, defined one per kernel TU. sse2Ops/avx2Ops exist
- * only when their TU is compiled in (x86 and not GIST_SIMD_DISABLE). */
+/* Per-backend tables, defined one per kernel TU. sse2Ops, avx2Ops and
+ * avx512Ops exist only when their TU is compiled in (x86 and not
+ * GIST_SIMD_DISABLE). */
 const SimdOps &scalarOps();
 #if GIST_SIMD_X86 && !defined(GIST_SIMD_SCALAR_ONLY)
 const SimdOps &sse2Ops();
 const SimdOps &avx2Ops();
+const SimdOps &avx512Ops();
 #endif
 
 } // namespace gist::simd

@@ -681,8 +681,9 @@ gemmTile6x16(std::int64_t kc, const float *a, const float *b, float *c,
     _mm256_storeu_ps(c + 5 * ldc + 8, c51);
 }
 
+/** One 6-row panel (mr <= kGemmMR rows stored) against the strip. */
 void
-gemmMicroAvx2(std::int64_t kc, const float *a, const float *b, float *c,
+gemmPanelAvx2(std::int64_t kc, const float *a, const float *b, float *c,
               std::int64_t ldc, std::int64_t mr, std::int64_t nr,
               bool accumulate)
 {
@@ -701,6 +702,16 @@ gemmMicroAvx2(std::int64_t kc, const float *a, const float *b, float *c,
     for (std::int64_t i = 0; i < mr; ++i)
         std::memcpy(c + i * ldc, tile + i * kGemmNR,
                     static_cast<size_t>(nr) * sizeof(float));
+}
+
+void
+gemmBlockAvx2(std::int64_t kc, const float *a, std::int64_t mc,
+              const float *b, float *c, std::int64_t ldc, std::int64_t nr,
+              bool accumulate)
+{
+    for (std::int64_t i = 0; i < mc; i += kGemmMR)
+        gemmPanelAvx2(kc, a + i * kc, b, c + i * ldc, ldc,
+                      std::min(kGemmMR, mc - i), nr, accumulate);
 }
 
 } // namespace
@@ -724,7 +735,7 @@ avx2Ops()
         { sfEncodeCodesAvx2<kSfFp16>, sfEncodeCodesAvx2<kSfFp10>,
           sfEncodeCodesAvx2<kSfFp8> },
         axpyAvx2,
-        gemmMicroAvx2,
+        gemmBlockAvx2,
         reluBackwardAvx2,
         maxPoolArgmaxAvx2,
         maxPoolMatchAvx2,

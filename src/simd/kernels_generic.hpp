@@ -185,7 +185,7 @@ sfEncodeCodes(const float *src, std::int64_t n, std::uint32_t *codes)
 
 /* The float GEMM kernels are NOT pinned unvectorized: the scalar
  * backend only has to be the bitwise reference for the integer codecs,
- * and letting the compiler vectorize axpy/gemmMicro keeps
+ * and letting the compiler vectorize axpy/gemmBlock keeps
  * GIST_SIMD=scalar from regressing GEMM against the pre-dispatch code. */
 
 inline void
@@ -195,23 +195,25 @@ axpy(std::int64_t n, float a, const float *x, float *y)
         y[j] += a * x[j];
 }
 
-/** SimdOps::gemmMicro one C row at a time: a kGemmNR-float accumulator
+/** SimdOps::gemmBlock one C row at a time: a kGemmNR-float accumulator
  *  fits the vector registers of any x86 tier (a whole MR x NR tile
  *  spills under SSE), at the price of re-reading the L1-resident B
  *  strip per row. */
 inline void
-gemmMicro(std::int64_t kc, const float *a, const float *b, float *c,
-          std::int64_t ldc, std::int64_t mr, std::int64_t nr,
-          bool accumulate)
+gemmBlock(std::int64_t kc, const float *a, std::int64_t mc, const float *b,
+          float *c, std::int64_t ldc, std::int64_t nr, bool accumulate)
 {
-    for (std::int64_t i = 0; i < mr; ++i) {
+    for (std::int64_t r = 0; r < mc; ++r) {
+        // Row r is row i of panel r / kGemmMR.
+        const float *panel = a + r / kGemmMR * kc * kGemmMR;
+        const std::int64_t i = r % kGemmMR;
         float acc[kGemmNR] = {};
-        float *c_row = c + i * ldc;
+        float *c_row = c + r * ldc;
         if (accumulate)
             for (std::int64_t j = 0; j < nr; ++j)
                 acc[j] = c_row[j];
         for (std::int64_t p = 0; p < kc; ++p) {
-            const float av = a[p * kGemmMR + i];
+            const float av = panel[p * kGemmMR + i];
             const float *b_row = b + p * kGemmNR;
             for (std::int64_t j = 0; j < kGemmNR; ++j)
                 acc[j] += av * b_row[j];

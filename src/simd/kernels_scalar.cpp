@@ -37,7 +37,7 @@ scalarOps()
         { k::sfEncodeCodes<kSfFp16>, k::sfEncodeCodes<kSfFp10>,
           k::sfEncodeCodes<kSfFp8> },
         k::axpy,
-        k::gemmMicro,
+        k::gemmBlock,
         k::reluBackward,
         k::maxPoolArgmax,
         k::maxPoolMatch,

@@ -169,7 +169,7 @@ sse2Ops()
         { k::sfEncodeCodes<kSfFp16>, k::sfEncodeCodes<kSfFp10>,
           k::sfEncodeCodes<kSfFp8> },
         k::axpy,
-        k::gemmMicro,
+        k::gemmBlock,
         k::reluBackward,
         k::maxPoolArgmax,
         k::maxPoolMatch,

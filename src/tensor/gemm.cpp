@@ -16,12 +16,14 @@ namespace {
 using simd::kGemmMR;
 using simd::kGemmNR;
 
-// BLIS-style blocking around the kGemmMR x kGemmNR register microkernel.
-// C is cut into fixed MC x NC tiles, the parallel unit, and the
-// reduction into KC slices. Per slice a tile packs its MC x KC block of
-// op(A) once as MR-row panels, then walks its NR-column strips of op(B):
-// pack one KC x NR strip, run the microkernel down every panel. That is
-// at most MC * KC + KC * NR floats (32 KiB) of arena scratch per worker.
+// BLIS-style blocking around the register block kernel (kGemmMR-row
+// panels, kGemmNR-column strips). C is cut into fixed MC x NC tiles, the
+// parallel unit, and the reduction into KC slices. Per slice a tile
+// packs its MC x KC block of op(A) once as MR-row panels, then walks its
+// NR-column strips of op(B): pack one KC x NR strip, run the block
+// kernel down every panel. That is at most MC * KC + KC * NR floats (32
+// KiB) of arena scratch per worker, plus an MC x NR bounce tile for a C
+// destination that is not a row-major block (a strided conv's dX).
 constexpr std::int64_t kKC = 128;
 constexpr std::int64_t kMC = 48;
 constexpr std::int64_t kNC = 256;
@@ -31,8 +33,8 @@ static_assert(kGemmPackScratchBytes ==
 
 // Multiply-adds below which a GEMM runs all its tiles inline on the
 // caller: the pool's dispatch and each worker's cold pack scratch cost
-// more than such a call's whole compute (every per-image conv dX GEMM
-// of the tiny models sits below this).
+// more than such a call's whole compute (a tiny model's FC layers, and
+// its convs at small batches).
 constexpr std::int64_t kMinParallelMacs = std::int64_t{ 1 } << 21;
 
 /** C *= beta over m*n elements (beta == 0 zero-fills). */
@@ -175,6 +177,28 @@ struct ImageA
     }
 };
 
+/**
+ * The window a conv pack source slides: a stack of images, each
+ * channels x in_h x in_w, read through a kernel_h x kernel_w window at
+ * the given strides, from top-left offset -pad, over an out_h x out_w
+ * grid. Taps past any edge read as zero. Forward and dW take it from
+ * their ConvGeometry; each dX phase slides a stride-1 window over dY
+ * with its own pads (possibly negative) and grid.
+ */
+struct ConvWindow
+{
+    std::int64_t channels, in_h, in_w, kernel_h, kernel_w;
+    std::int64_t stride_h, stride_w, pad_h, pad_w, out_h, out_w;
+};
+
+ConvWindow
+windowOf(const ConvGeometry &g)
+{
+    return { g.in_c,     g.in_h,     g.in_w,   g.kernel_h,
+             g.kernel_w, g.stride_h, g.stride_w, g.pad_h,
+             g.pad_w,    g.outH(),   g.outW() };
+}
+
 /** Row r = (c, kh, kw) of a conv's column matrix: its tap offsets and
  *  the start of its input channel plane. */
 struct ConvTap
@@ -183,7 +207,7 @@ struct ConvTap
 };
 
 ConvTap
-convTap(const ConvGeometry &g, std::int64_t r)
+convTap(const ConvWindow &g, std::int64_t r)
 {
     const std::int64_t kernel = g.kernel_h * g.kernel_w;
     return { r % kernel / g.kernel_w, r % g.kernel_w,
@@ -206,12 +230,12 @@ struct ConvRun
  * Returns the run count (at most n).
  */
 std::int64_t
-convRuns(const ConvGeometry &g, std::int64_t q, std::int64_t n,
+convRuns(const ConvWindow &g, std::int64_t q, std::int64_t n,
          std::int64_t p, ConvRun *runs)
 {
-    const std::int64_t out_h = g.outH();
-    const std::int64_t out_w = g.outW();
-    const std::int64_t image = g.in_c * g.in_h * g.in_w;
+    const std::int64_t out_h = g.out_h;
+    const std::int64_t out_w = g.out_w;
+    const std::int64_t image = g.channels * g.in_h * g.in_w;
     std::int64_t img = q / p;
     std::int64_t oh = q % p / out_w;
     std::int64_t ow = q % p % out_w;
@@ -310,7 +334,7 @@ gatherRun(ConvImage im, std::int64_t plane, std::int64_t ih,
 
 /** Next tap (c, kh, kw) in column-matrix row order. */
 inline void
-nextTap(const ConvGeometry &g, std::int64_t plane, ConvTap &t)
+nextTap(const ConvWindow &g, std::int64_t plane, ConvTap &t)
 {
     if (++t.kw == g.kernel_w) {
         t.kw = 0;
@@ -321,10 +345,13 @@ nextTap(const ConvGeometry &g, std::int64_t plane, ConvTap &t)
     }
 }
 
-/** The common length of runs[0, count), or 0 when they differ. */
+/** The common length of runs[0, count), or 0 when they differ or
+ *  there are none. */
 inline std::int64_t
 uniformLen(const ConvRun *runs, std::int64_t count)
 {
+    if (count == 0)
+        return 0;
     for (std::int64_t i = 1; i < count; ++i)
         if (runs[i].len != runs[0].len)
             return 0;
@@ -338,7 +365,7 @@ uniformLen(const ConvRun *runs, std::int64_t count)
  */
 template <std::int64_t kStride, std::int64_t kRowStride, std::int64_t kLen>
 void
-gatherTaps(const ConvGeometry &g, ConvImage im, const ConvRun *runs,
+gatherTaps(const ConvWindow &g, ConvImage im, const ConvRun *runs,
            std::int64_t count, ConvTap t, std::int64_t taps, float *dst)
 {
     const std::int64_t plane = g.in_h * g.in_w;
@@ -358,7 +385,7 @@ gatherTaps(const ConvGeometry &g, ConvImage im, const ConvRun *runs,
  */
 template <std::int64_t kStride, std::int64_t kRowStride>
 void
-gatherTapsAnyLen(const ConvGeometry &g, ConvImage im, const ConvRun *runs,
+gatherTapsAnyLen(const ConvWindow &g, ConvImage im, const ConvRun *runs,
                  std::int64_t count, ConvTap t, std::int64_t taps,
                  float *dst)
 {
@@ -379,14 +406,16 @@ gatherTapsAnyLen(const ConvGeometry &g, ConvImage im, const ConvRun *runs,
 }
 
 /**
- * Conv forward op(B) = col(X) for a batch, packed straight from the
- * images: B(r, j) is tap r = (c, kh, kw) at output position j, where
- * the column space gives each image p_pad = p rounded up to kGemmNR
- * columns, so a strip never straddles two images (see ImageC).
+ * Conv op(B) = col(X) for a batch, packed straight from the images:
+ * B(r, j) is tap r = (c, kh, kw) of window @c g at output position j,
+ * where the column space gives each image p_pad = p rounded up to
+ * kGemmNR columns, so a strip never straddles two images (see ImageC).
+ * Forward reads X through the conv's window, dX reads dY through each
+ * phase's.
  */
 struct ConvB
 {
-    const ConvGeometry &g;
+    ConvWindow g;
     const float *x;
     std::int64_t p, p_pad;
 
@@ -415,7 +444,7 @@ struct ConvB
  */
 struct ConvBT
 {
-    const ConvGeometry &g;
+    ConvWindow g;
     const float *x;
     std::int64_t p;
     ConvRun runs[kKC];
@@ -436,6 +465,75 @@ struct ConvBT
         // Tap j of the strip fills column j: one value per position.
         gatherTapsAnyLen<kGemmNR, 1>(g, { x, g.in_h, g.in_w, g.stride_w },
                                      runs, count, convTap(g, j0), nr, dst);
+    }
+};
+
+/**
+ * One axis of sub-pixel phase r (0 <= r < stride) of a strided conv's
+ * dX: the dX indices r, r + stride, ... (@c size of them) and the
+ * kernel taps that reach them, first, first + stride, ... (@c taps of
+ * them: those congruent to r + pad). dX index r + stride * u reads dY
+ * index u + shift - t through tap first + stride * t. Stride 1 has one
+ * phase holding every index and every tap.
+ */
+struct PhaseAxis
+{
+    std::int64_t first, taps, shift, size;
+};
+
+PhaseAxis
+phaseAxis(std::int64_t r, std::int64_t stride, std::int64_t pad,
+          std::int64_t kernel, std::int64_t in)
+{
+    const std::int64_t first = (r + pad) % stride;
+    return { first,
+             first < kernel ? (kernel - first + stride - 1) / stride : 0,
+             (r + pad - first) / stride,
+             r < in ? (in - r + stride - 1) / stride : 0 };
+}
+
+/**
+ * Conv dX op(A) of one phase, read in place from the weights W (out_c x
+ * C x kh x kw): A(c, r) for phase tap r = (oc, a, b) is W[oc][c][ph.first
+ * + stride_h * (ph.taps - 1 - a)][pw.first + stride_w * (pw.taps - 1 -
+ * b)], the phase's taps flipped. No transposed copy of W is made.
+ */
+struct ConvDxA
+{
+    const float *w;
+    const ConvGeometry &g;
+    PhaseAxis ph, pw;
+
+    void
+    operator()(std::int64_t i0, std::int64_t mr, std::int64_t pc,
+               std::int64_t kc, float *dst) const
+    {
+        const std::int64_t kernel = g.kernel_h * g.kernel_w;
+        if (mr < kGemmMR)
+            std::fill(dst, dst + kc * kGemmMR, 0.0f);
+        // Tap pc = (oc, a, b), then walked incrementally.
+        std::int64_t b = pc % pw.taps;
+        std::int64_t a = pc / pw.taps % ph.taps;
+        std::int64_t oc = pc / (pw.taps * ph.taps);
+        for (std::int64_t q = 0; q < kc; ++q) {
+            const float *src =
+                w + (oc * g.in_c + i0) * kernel +
+                (ph.first + g.stride_h * (ph.taps - 1 - a)) * g.kernel_w +
+                pw.first + g.stride_w * (pw.taps - 1 - b);
+            if (mr == kGemmMR)
+                for (std::int64_t i = 0; i < kGemmMR; ++i)
+                    dst[q * kGemmMR + i] = src[i * kernel];
+            else
+                for (std::int64_t i = 0; i < mr; ++i)
+                    dst[q * kGemmMR + i] = src[i * kernel];
+            if (++b == pw.taps) {
+                b = 0;
+                if (++a == ph.taps) {
+                    a = 0;
+                    ++oc;
+                }
+            }
+        }
     }
 };
 
@@ -474,12 +572,56 @@ struct ImageC
 };
 
 /**
+ * C destination for phase (h0, w0) of a strided conv's dX, one row per
+ * input channel: GEMM column j is phase-grid position q = j % p_pad of
+ * image j / p_pad, which is dX pixel (h0 + stride_h * (q / cols), w0 +
+ * stride_w * (q % cols)). Those pixels are strided in dX, so the block
+ * kernel runs on a bounce tile that bounce() fills from them and writes
+ * back.
+ */
+struct PhaseC
+{
+    float *c;
+    const ConvGeometry &g;
+    std::int64_t h0, w0, cols, p, p_pad;
+
+    std::int64_t
+    width(std::int64_t j, std::int64_t nr) const
+    {
+        return std::min(nr, p - j % p_pad);
+    }
+
+    /** Copy block rows [i0, i0 + mc) x columns [j, j + nr) from dX into
+     *  @p tile (row stride kGemmNR) when @p load, else back. */
+    void
+    bounce(std::int64_t i0, std::int64_t mc, std::int64_t j,
+           std::int64_t nr, float *tile, bool load) const
+    {
+        const std::int64_t plane = g.in_h * g.in_w;
+        std::int64_t off[kGemmNR];
+        for (std::int64_t t = 0; t < nr; ++t) {
+            const std::int64_t q = j % p_pad + t;
+            off[t] = (h0 + g.stride_h * (q / cols)) * g.in_w + w0 +
+                     g.stride_w * (q % cols);
+        }
+        float *row = c + (j / p_pad * g.in_c + i0) * plane;
+        for (std::int64_t i = 0; i < mc; ++i, row += plane, tile += kGemmNR)
+            for (std::int64_t t = 0; t < nr; ++t)
+                if (load)
+                    tile[t] = row[off[t]];
+                else
+                    row[off[t]] = tile[t];
+    }
+};
+
+/**
  * The one GEMM loop nest: C = A * B (+ C when @p accumulate_c) with A
  * and B supplied by pack sources (alpha is folded into the A pack) and
  * C addressed through @p c_dst, strip by strip. Every C element is a
  * single chain c = c + a * b over p ascending, started from C or from
- * +0, whatever the tiling, the loop order, the pack source or the
- * thread count — so results are bitwise-identical across all of them.
+ * +0, whatever the tiling, the loop order, the pack source, the C
+ * destination (in place or through a bounce tile) or the thread count
+ * — so results are bitwise-identical across all of them.
  */
 template <typename ASrc, typename BSrc, typename CDst>
 void
@@ -495,12 +637,18 @@ packedGemm(std::int64_t m, std::int64_t n, std::int64_t k,
         std::min(kMC, (m + kGemmMR - 1) / kGemmMR * kGemmMR) *
         std::min(kKC, k);
     const std::int64_t b_floats = std::min(kKC, k) * kGemmNR;
-    const auto micro = simd::ops().gemmMicro;
+    // A destination that is not a row-major block takes a bounce tile.
+    constexpr bool kBounce = requires(float *tile) {
+        c_dst.bounce(std::int64_t{}, std::int64_t{}, std::int64_t{},
+                     std::int64_t{}, tile, true);
+    };
+    const std::int64_t c_floats = kBounce ? kMC * kGemmNR : 0;
+    const auto block = simd::ops().gemmBlock;
     // KC slice pc of C tile t: pack the tile's A block once as MR-row
-    // panels, then per NR-column strip pack B and run the microkernel
+    // panels, then per NR-column strip pack B and run the block kernel
     // down every panel.
     auto tileSlice = [&](std::int64_t t, std::int64_t pc, float *a_buf,
-                         float *b_buf) {
+                         float *b_buf, float *c_buf) {
         const std::int64_t kc = std::min(kKC, k - pc);
         const bool accumulate = accumulate_c || pc > 0;
         const std::int64_t ic = t / tiles_n * kMC;
@@ -514,10 +662,15 @@ packedGemm(std::int64_t m, std::int64_t n, std::int64_t k,
             const std::int64_t j = jc + jr;
             const std::int64_t nr = c_dst.width(j, std::min(kGemmNR, nc - jr));
             pack_b(pc, kc, j, nr, b_buf);
-            for (std::int64_t ir = 0; ir < mc; ir += kGemmMR)
-                micro(kc, a_buf + ir * kc, b_buf, c_dst.at(ic + ir, j),
-                      c_dst.ld(), std::min(kGemmMR, mc - ir), nr,
+            if constexpr (kBounce) {
+                if (accumulate)
+                    c_dst.bounce(ic, mc, j, nr, c_buf, true);
+                block(kc, a_buf, mc, b_buf, c_buf, kGemmNR, nr, accumulate);
+                c_dst.bounce(ic, mc, j, nr, c_buf, false);
+            } else {
+                block(kc, a_buf, mc, b_buf, c_dst.at(ic, j), c_dst.ld(), nr,
                       accumulate);
+            }
         }
     };
     // Tiles run on pool workers; each frame bumps its worker's own arena
@@ -527,9 +680,12 @@ packedGemm(std::int64_t m, std::int64_t n, std::int64_t k,
         ArenaScope scope;
         float *a_buf = scope.alloc<float>(static_cast<size_t>(a_floats));
         float *b_buf = scope.alloc<float>(static_cast<size_t>(b_floats));
+        float *c_buf = kBounce
+                           ? scope.alloc<float>(static_cast<size_t>(c_floats))
+                           : nullptr;
         for (std::int64_t t = t0; t < t1; ++t)
             for (std::int64_t pc = pc0; pc < pc1; pc += kKC)
-                tileSlice(t, pc, a_buf, b_buf);
+                tileSlice(t, pc, a_buf, b_buf, c_buf);
     };
     if constexpr (requires { pack_b.slice(std::int64_t{}, std::int64_t{}); }) {
         // The B source prepares each KC slice once for all tiles (a
@@ -627,7 +783,7 @@ gemmConv(const ConvGeometry &g, std::int64_t batch, std::int64_t out_c,
     if (batch == 0 || out_c == 0)
         return;
     const std::int64_t p_pad = (p + kGemmNR - 1) / kGemmNR * kGemmNR;
-    ConvB pack_b{ g, x, p, p_pad };
+    ConvB pack_b{ windowOf(g), x, p, p_pad };
     packedGemm(out_c, batch * p_pad, k, false,
                DenseA{ w, false, out_c, k, 1.0f }, pack_b,
                ImageC{ y, out_c, p, p_pad });
@@ -647,9 +803,54 @@ gemmConvDw(const ConvGeometry &g, std::int64_t batch, std::int64_t out_c,
                 "bad conv gemm dims");
     if (batch == 0 || out_c == 0)
         return;
-    ConvBT pack_b{ g, x, p, {} };
+    ConvBT pack_b{ windowOf(g), x, p, {} };
     packedGemm(out_c, k, batch * p, true, ImageA{ dy, out_c, p }, pack_b,
                DenseC{ dw, k });
+}
+
+void
+gemmConvDx(const ConvGeometry &g, std::int64_t batch, std::int64_t out_c,
+           const float *w, const float *dy, float *dx)
+{
+    const std::int64_t out_h = g.outH();
+    const std::int64_t out_w = g.outW();
+    GIST_TRACE_SCOPE_F("compute", "gemm conv-dx %lldx%lldx%lld",
+                       static_cast<long long>(g.in_c),
+                       static_cast<long long>(batch * g.in_h * g.in_w),
+                       static_cast<long long>(out_c * g.kernel_h *
+                                              g.kernel_w));
+    GIST_ASSERT(batch >= 0 && out_c >= 0 && g.colRows() > 0 && out_h > 0 &&
+                    out_w > 0,
+                "bad conv gemm dims");
+    if (batch == 0 || out_c == 0)
+        return;
+    for (std::int64_t rh = 0; rh < g.stride_h; ++rh)
+        for (std::int64_t rw = 0; rw < g.stride_w; ++rw) {
+            const PhaseAxis ph =
+                phaseAxis(rh, g.stride_h, g.pad_h, g.kernel_h, g.in_h);
+            const PhaseAxis pw =
+                phaseAxis(rw, g.stride_w, g.pad_w, g.kernel_w, g.in_w);
+            const std::int64_t p = ph.size * pw.size;
+            const std::int64_t k = out_c * ph.taps * pw.taps;
+            // No dX pixel in this phase, or no tap reaches its pixels
+            // (a 1x1 stride-2 conv's odd rows and columns).
+            if (p == 0 || k == 0)
+                continue;
+            const std::int64_t p_pad = (p + kGemmNR - 1) / kGemmNR * kGemmNR;
+            // Phase tap (oc, a, b) at grid position (u, v) reads dY[oc]
+            // at (u - (ph.taps - 1 - ph.shift) + a, likewise in w).
+            ConvB pack_b{ { out_c, out_h, out_w, ph.taps, pw.taps, 1, 1,
+                            ph.taps - 1 - ph.shift, pw.taps - 1 - pw.shift,
+                            ph.size, pw.size },
+                          dy, p, p_pad };
+            const ConvDxA pack_a{ w, g, ph, pw };
+            if (g.stride_h == 1 && g.stride_w == 1)
+                packedGemm(g.in_c, batch * p_pad, k, true, pack_a, pack_b,
+                           ImageC{ dx, g.in_c, p, p_pad });
+            else
+                packedGemm(g.in_c, batch * p_pad, k, true, pack_a, pack_b,
+                           PhaseC{ dx, g, rh, rw, pw.size, p, p_pad });
+        }
 }
 
 } // namespace gist

@@ -32,7 +32,7 @@ inline constexpr std::size_t kGemmPackScratchBytes =
  *
  * Every entry point below runs one packed core: op(A) is packed (times
  * alpha) into 6-row panels, op(B) into 16-column strips, and a
- * register microkernel (simd::SimdOps::gemmMicro) computes each C
+ * register block kernel (simd::SimdOps::gemmBlock) computes each C
  * element as one chain c = c + a * b over p ascending, started from
  * beta * C (from +0 when beta == 0, so a garbage C is never read).
  * Only the pack sources differ between the entry points, so their
@@ -89,5 +89,26 @@ void gemmConv(const ConvGeometry &g, std::int64_t batch, std::int64_t out_c,
 void gemmConvDw(const ConvGeometry &g, std::int64_t batch,
                 std::int64_t out_c, const float *dy, const float *x,
                 float *dw);
+
+/**
+ * Implicit-GEMM convolution input gradient over @p batch images, which
+ * accumulates: dX_b (C x H x W, contiguous in @p dx) += dY_b convolved
+ * with the flipped, transposed weights, dY_b (out_c x p) contiguous in
+ * @p dy and W (out_c x C x kh x kw) read in place.
+ *
+ * A stride_h x stride_w conv splits into as many sub-pixel phases:
+ * phase (rh, rw) owns the dX pixels (ih, iw) with ih % stride_h == rh
+ * and iw % stride_w == rw, and only the kernel taps (kh, kw) that reach
+ * them, kh = (rh + pad_h) mod stride_h (+ stride_h, ...) and likewise
+ * in w. Each phase is one GEMM over the batch with m = C, n = the
+ * phase's pixels, and reduction r = (oc, a, b) over its taps flipped
+ * (kernel row and column descending); B is packed straight from dY.
+ * Stride 1 is one phase holding every tap. So each dX element is one
+ * chain from its prior value over (oc, a, b) ascending, where taps that
+ * read past dY's edge add a * 0. No column matrix is formed.
+ */
+void gemmConvDx(const ConvGeometry &g, std::int64_t batch,
+                std::int64_t out_c, const float *w, const float *dy,
+                float *dx);
 
 } // namespace gist

@@ -1,10 +1,11 @@
 /**
  * @file
- * Convolution geometry and the im2col / col2im lowering. Conv forward
- * and dW never write the column matrix: the implicit-GEMM entry points
- * in tensor/gemm.hpp pack it straight from the image. col2im still
- * folds dX's column gradient back into the image, and im2col is the
- * reference those entry points are tested against.
+ * Convolution geometry and the im2col / col2im lowering. No layer runs
+ * the lowering any more: conv forward, dW and dX are implicit-GEMM
+ * entry points in tensor/gemm.hpp that pack their operands straight
+ * from the image or dY. im2col, col2im and tapSpan stay only because
+ * perfbench/ replays them at the shapes collectKernelShapes() reports
+ * and tests use them as references; they go when that replay does.
  */
 
 #pragma once

@@ -1,17 +1,20 @@
 /**
  * @file
- * Implicit-GEMM convolution against the explicit lowering it replaced.
+ * Implicit-GEMM convolution against explicit references.
  *
- * ConvLayer forward runs one gemmConv over the minibatch and backward
- * one gemmConvDw per tile of images, packing the operands straight from
- * the image (or from the tile an encoded stash decodes into). Their
- * contract is bit-for-bit equality with the per-image im2col + gemm
- * reference below, at every geometry, batch size, stash encoding,
- * SIMD backend and thread count.
+ * ConvLayer forward runs one gemmConv over the minibatch, backward one
+ * gemmConvDx (one GEMM per sub-pixel phase) and one gemmConvDw per tile
+ * of images, packing the operands straight from the image, dY or the
+ * tile an encoded stash decodes into. Forward and dW must equal the
+ * per-image im2col + gemm lowering bit for bit; dX must equal a direct
+ * convolution loop nest in gemmConvDx's documented sum order, rounded
+ * as the backend's GEMM kernel rounds. Both hold at every geometry,
+ * batch size, stash encoding, SIMD backend and thread count.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -57,9 +60,10 @@ spec(std::int64_t out_c, std::int64_t kh, std::int64_t kw, std::int64_t sh,
     return ConvSpec{ out_c, kh, kw, sh, sw, ph, pw, true };
 }
 
-/** Strides 1/2, pads 0-2, kernels 1/3/5 and non-square; many output
+/** Strides 1/2/3, pads 0-2, kernels 1/2/3/5 and non-square; many output
  *  sizes p are not multiples of 16, and out_c crosses the 6-row panel
- *  and 48-row block edges. */
+ *  and 48-row block edges. The strided cases leave remainder rows and
+ *  columns that no output reads, and phases that no tap reaches. */
 const std::vector<Case> &
 cases()
 {
@@ -78,6 +82,15 @@ cases()
         { 2, 12, 16, 6, spec(6, 5, 5, 1, 1, 2, 2) },
         { 3, 8, 8, 7, spec(7, 5, 5, 1, 1, 2, 2) },
         { 3, 4, 4, 5, spec(5, 3, 3, 1, 1, 1, 1) },
+        // dX sub-pixel phases: stride 2 with a remainder row and column
+        // (in 10x9, out 4x4), a 1x1 stride 2 whose odd phases have no
+        // taps, stride (2, 1) and (1, 2), and stride 3 past a kernel of
+        // 2, so phase (2, 2) has no taps.
+        { 3, 10, 9, 7, spec(7, 3, 3, 2, 2, 0, 0) },
+        { 20, 9, 8, 13, spec(13, 1, 1, 2, 2, 0, 0) },
+        { 4, 7, 6, 5, spec(5, 3, 3, 2, 1, 1, 1) },
+        { 3, 5, 11, 6, spec(6, 3, 5, 1, 2, 1, 2) },
+        { 2, 11, 10, 4, spec(4, 2, 2, 3, 3, 0, 0) },
     };
     return c;
 }
@@ -109,7 +122,73 @@ expectSame(const Result &want, const Result &got, const std::string &what)
     expectBitwise(want.db, got.db, what + " db");
 }
 
-/** One layer with fixed random weights, input and output gradient. */
+/** acc + a * b as the active backend's GEMM kernel rounds it: one
+ *  FMA on avx2/avx512, a rounded product then a rounded sum on the
+ *  generic scalar/sse2 kernels. */
+float
+madd(float acc, float a, float b)
+{
+    const simd::Backend be = simd::activeBackend();
+    if (be == simd::Backend::Avx2 || be == simd::Backend::Avx512)
+        return std::fma(a, b, acc);
+    return acc + a * b;
+}
+
+/**
+ * dX += dY convolved with the flipped, transposed weights, as a direct
+ * loop nest in gemmConvDx's sum order: each dX element is one chain
+ * from its prior value over oc ascending, kernel row descending, kernel
+ * column descending, visiting only the taps of its sub-pixel phase (kh
+ * with (ih + pad_h - kh) % stride_h == 0, likewise in w). A visited tap
+ * whose dY position falls outside dY adds w * 0.
+ */
+void
+dxReference(const ConvGeometry &g, std::int64_t batch, std::int64_t out_c,
+            const float *w, const float *dy, float *dx)
+{
+    const std::int64_t out_h = g.outH();
+    const std::int64_t out_w = g.outW();
+    for (std::int64_t img = 0; img < batch; ++img)
+        for (std::int64_t c = 0; c < g.in_c; ++c)
+            for (std::int64_t ih = 0; ih < g.in_h; ++ih)
+                for (std::int64_t iw = 0; iw < g.in_w; ++iw) {
+                    float &out =
+                        dx[((img * g.in_c + c) * g.in_h + ih) * g.in_w + iw];
+                    float acc = out;
+                    for (std::int64_t oc = 0; oc < out_c; ++oc)
+                        for (std::int64_t kh = g.kernel_h - 1; kh >= 0; --kh) {
+                            const std::int64_t th = ih + g.pad_h - kh;
+                            if (th % g.stride_h != 0)
+                                continue;
+                            const std::int64_t oh = th / g.stride_h;
+                            for (std::int64_t kw = g.kernel_w - 1; kw >= 0;
+                                 --kw) {
+                                const std::int64_t tw = iw + g.pad_w - kw;
+                                if (tw % g.stride_w != 0)
+                                    continue;
+                                const std::int64_t ow = tw / g.stride_w;
+                                const bool inside = oh >= 0 && oh < out_h &&
+                                                    ow >= 0 && ow < out_w;
+                                const float v =
+                                    inside ? dy[((img * out_c + oc) * out_h +
+                                                 oh) *
+                                                    out_w +
+                                                ow]
+                                           : 0.0f;
+                                acc = madd(acc,
+                                           w[((oc * g.in_c + c) * g.kernel_h +
+                                              kh) *
+                                                 g.kernel_w +
+                                             kw],
+                                           v);
+                            }
+                        }
+                    out = acc;
+                }
+}
+
+/** One layer with fixed random weights, input, output gradient and a
+ *  nonzero prior dX that the backward accumulates onto. */
 struct Fixture
 {
     Case c;
@@ -118,6 +197,7 @@ struct Fixture
     Shape in_shape;
     Tensor x;
     Tensor dy;
+    Tensor dx0;
     ConvGeometry g;
 
     Fixture(const Case &cs, std::int64_t n, std::uint64_t seed)
@@ -135,6 +215,7 @@ struct Fixture
             if (x.at(i) < 0.0f)
                 x.at(i) = 0.0f;
         dy = Tensor::randn(conv.outputShape({ &in_shape, 1 }), rng);
+        dx0 = Tensor::randn(in_shape, rng);
         g.in_c = cs.in_c;
         g.in_h = cs.in_h;
         g.in_w = cs.in_w;
@@ -146,7 +227,8 @@ struct Fixture
         g.pad_w = cs.spec.pad_w;
     }
 
-    /** The explicit lowering, image by image, on input values @p xv. */
+    /** The explicit lowering of forward and dW, image by image, on
+     *  input values @p xv; dX by dxReference(). */
     Result
     reference(const std::vector<float> &xv)
     {
@@ -159,7 +241,7 @@ struct Fixture
         std::vector<float> col(static_cast<size_t>(k * p));
         Result r;
         r.y.assign(static_cast<size_t>(batch * out_c * p), 0.0f);
-        r.dx.assign(static_cast<size_t>(batch * image), 0.0f);
+        r.dx.assign(dx0.data(), dx0.data() + dx0.numel());
         r.dw.assign(static_cast<size_t>(out_c * k), 0.0f);
         r.db.assign(static_cast<size_t>(out_c), 0.0f);
         for (std::int64_t img = 0; img < batch; ++img) {
@@ -180,10 +262,8 @@ struct Fixture
                     acc += dy_img[oc * p + j];
                 r.db[static_cast<size_t>(oc)] += acc;
             }
-            gemm(true, false, k, p, out_c, 1.0f, w, dy_img, 0.0f,
-                 col.data());
-            col2im(g, col.data(), r.dx.data() + img * image);
         }
+        dxReference(g, batch, out_c, w, dy.data(), r.dx.data());
         return r;
     }
 
@@ -205,7 +285,7 @@ struct Fixture
         f.output = &y;
         conv.forward(f);
         r.y.assign(y.data(), y.data() + y.numel());
-        Tensor dx = Tensor::zeros(in_shape);
+        Tensor dx = dx0;
         BwdCtx b;
         b.inputs = { stash.valid() ? nullptr : &x };
         b.encoded_inputs = { stash };
@@ -239,14 +319,19 @@ TEST_F(ConvImplicit, DenseForwardBackwardMatchIm2colReferenceOnEveryBackend)
         if (!simd::backendAvailable(backend))
             continue;
         simd::setBackend(backend);
-        for (const Case &c : cases())
-            for (const std::int64_t batch : { 1, 7, 33 }) {
-                Fixture f(c, batch, 100 + static_cast<std::uint64_t>(batch));
-                expectSame(f.reference(f.xValues()), f.run({}),
-                           std::string(simd::backendName(backend)) + " " +
-                               c.name() + " batch " +
-                               std::to_string(batch));
-            }
+        for (const int threads : { 1, 4 }) {
+            setNumThreads(threads);
+            for (const Case &c : cases())
+                for (const std::int64_t batch : { 1, 7, 33 }) {
+                    Fixture f(c, batch,
+                              100 + static_cast<std::uint64_t>(batch));
+                    expectSame(f.reference(f.xValues()), f.run({}),
+                               std::string(simd::backendName(backend)) +
+                                   " " + std::to_string(threads) +
+                                   " threads " + c.name() + " batch " +
+                                   std::to_string(batch));
+                }
+        }
     }
 }
 
@@ -300,29 +385,35 @@ TEST_F(ConvImplicit, EncodedStashesMatchReferenceOnDecodedValues)
 TEST_F(ConvImplicit, OneAndFourThreadsAreBitwiseIdentical)
 {
     // Large enough that every conv GEMM passes the core's inline
-    // threshold and splits its tiles across the pool.
-    const Case big{ 16, 16, 16, 50, spec(50, 3, 3, 1, 1, 1, 1) };
-    for (const std::int64_t batch : { 7, 33 }) {
-        Fixture f(big, batch, 300 + static_cast<std::uint64_t>(batch));
-        CsrBuffer csr{ CsrConfig{} };
-        csr.encode(f.xValues());
-        DprBuffer dpr;
-        dpr.encode(DprFormat::Fp16, f.xValues());
-        const EncodedStash stashes[] = { {},
-                                         { nullptr, &csr },
-                                         { &dpr, nullptr } };
-        for (const EncodedStash &s : stashes) {
-            setNumThreads(1);
-            const Result one = f.run(s);
-            setNumThreads(4);
-            const Result four = f.run(s);
-            expectSame(one, four,
-                       std::string(s.csr ? "csr" : s.dpr ? "dpr" : "dense") +
-                           " batch " + std::to_string(batch));
+    // threshold and splits its tiles across the pool; the stride-2 case
+    // runs its dX phases through the bounce tile on every worker.
+    const Case bigs[] = { { 16, 16, 16, 50, spec(50, 3, 3, 1, 1, 1, 1) },
+                          { 16, 17, 16, 50, spec(50, 3, 3, 2, 2, 1, 1) } };
+    for (const Case &big : bigs) {
+        for (const std::int64_t batch : { 7, 33 }) {
+            Fixture f(big, batch, 300 + static_cast<std::uint64_t>(batch));
+            CsrBuffer csr{ CsrConfig{} };
+            csr.encode(f.xValues());
+            DprBuffer dpr;
+            dpr.encode(DprFormat::Fp16, f.xValues());
+            const EncodedStash stashes[] = { {},
+                                             { nullptr, &csr },
+                                             { &dpr, nullptr } };
+            for (const EncodedStash &s : stashes) {
+                setNumThreads(1);
+                const Result one = f.run(s);
+                setNumThreads(4);
+                const Result four = f.run(s);
+                const char *kind = s.csr ? "csr" : s.dpr ? "dpr" : "dense";
+                expectSame(one, four,
+                           std::string(kind) + " " + big.name() + " batch " +
+                               std::to_string(batch));
+            }
+            // The dense run also matches the references at 4 threads.
+            expectSame(f.reference(f.xValues()), f.run({}),
+                       "4 threads vs reference " + big.name() + " batch " +
+                           std::to_string(batch));
         }
-        // The dense run also matches the explicit lowering at 4 threads.
-        expectSame(f.reference(f.xValues()), f.run({}),
-                   "4 threads vs reference batch " + std::to_string(batch));
     }
 }
 

@@ -3,8 +3,9 @@
  * GEMM tests: all four transpose combinations against a naive reference,
  * plus alpha/beta semantics — parameterized over sizes; a sweep over
  * every SIMD backend at shapes straddling the packed core's block edges
- * against a double-precision reference; and the fused entry point
- * (gemmPackedB) bitwise against gemm() at the same shapes.
+ * against a double-precision reference; the fused entry point
+ * (gemmPackedB) bitwise against gemm() at the same shapes; and the
+ * avx512 tier bitwise against avx2 through every pack source.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +14,12 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "simd/dispatch.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/im2col.hpp"
 #include "util/rng.hpp"
 
 namespace gist {
@@ -277,6 +280,122 @@ TEST(GemmEdges, FusedEntryPointsAreBitwiseGemm)
                     }
                 }
             }
+}
+
+/** Runs @p fn on avx2 then on avx512 and expects byte-equal outputs. */
+template <typename Fn>
+void
+expectAvx512IsAvx2(const char *what, Fn fn)
+{
+    simd::setBackend(simd::Backend::Avx2);
+    const std::vector<float> want = fn();
+    simd::setBackend(simd::Backend::Avx512);
+    const std::vector<float> got = fn();
+    ASSERT_EQ(want.size(), got.size()) << what;
+    for (size_t e = 0; e < want.size(); ++e)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(want[e]),
+                  std::bit_cast<std::uint32_t>(got[e]))
+            << what << " element " << e;
+}
+
+std::vector<float>
+randomVec(std::int64_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<float> v(static_cast<size_t>(n));
+    for (auto &x : v)
+        x = rng.normal();
+    return v;
+}
+
+TEST(GemmEdges, Avx512MatchesAvx2BitwiseThroughEveryPackSource)
+{
+    // Only the block kernel differs between the tiers, and both run each
+    // C element as one FMA chain: every entry point must agree bit for
+    // bit, whichever pack sources (DenseA/DenseB, PackedB, ImageA with
+    // ConvBT, ConvB, and dX's weight and phase sources) and C
+    // destination (dense, per image, dX phase bounce tile) it uses.
+    if (!simd::backendAvailable(simd::Backend::Avx512))
+        GTEST_SKIP() << "no avx512f on this CPU: avx512 tier not exercised";
+    BackendGuard guard;
+    for (std::int64_t m : kEdgeM)
+        for (std::int64_t n : kEdgeN)
+            for (std::int64_t k : kEdgeK) {
+                const auto a = randomVec(m * k, m * 31 + n * 7 + k);
+                const auto b = randomVec(k * n, m * 37 + n * 3 + k);
+                const auto c0 = randomVec(m * n, m + n + k);
+                const std::string shape = " m=" + std::to_string(m) +
+                                          " n=" + std::to_string(n) +
+                                          " k=" + std::to_string(k);
+                for (bool ta : { false, true })
+                    for (bool tb : { false, true })
+                        expectAvx512IsAvx2(("gemm" + shape).c_str(), [&] {
+                            std::vector<float> c(c0);
+                            gemm(ta, tb, m, n, k, 1.3f, a.data(), b.data(),
+                                 0.5f, c.data());
+                            return c;
+                        });
+                expectAvx512IsAvx2(("gemmPackedB" + shape).c_str(), [&] {
+                    std::vector<float> c(c0);
+                    gemmPackedB(true, m, n, k, 0.9f, a.data(),
+                                [&](std::int64_t off, float *dst,
+                                    std::int64_t cnt) {
+                                    std::copy_n(b.data() + off, cnt, dst);
+                                },
+                                1.0f, c.data());
+                    return c;
+                });
+            }
+    // Conv geometries (C, H, W, kh, kw, sh, sw, ph, pw): stride 1 and 2,
+    // a 1x1 stride 2, non-square kernels and strides, and out_c 50 past
+    // the 48-row block.
+    const std::int64_t geoms[][9] = {
+        { 3, 9, 8, 3, 3, 1, 1, 1, 1 },  { 20, 10, 9, 3, 3, 2, 2, 0, 0 },
+        { 16, 9, 8, 1, 1, 2, 2, 0, 0 }, { 4, 7, 12, 3, 5, 2, 1, 1, 2 },
+        { 50, 6, 6, 3, 3, 1, 1, 1, 1 },
+    };
+    for (const auto &gv : geoms)
+        for (const std::int64_t out_c : { 5, 50 }) {
+            ConvGeometry g;
+            g.in_c = gv[0];
+            g.in_h = gv[1];
+            g.in_w = gv[2];
+            g.kernel_h = gv[3];
+            g.kernel_w = gv[4];
+            g.stride_h = gv[5];
+            g.stride_w = gv[6];
+            g.pad_h = gv[7];
+            g.pad_w = gv[8];
+            const std::int64_t batch = 3;
+            const std::int64_t image = g.in_c * g.in_h * g.in_w;
+            const std::int64_t p = g.colCols();
+            const auto x = randomVec(batch * image, 41);
+            const auto w = randomVec(out_c * g.colRows(), 42);
+            const auto dy = randomVec(batch * out_c * p, 43);
+            const auto dx0 = randomVec(batch * image, 44);
+            const auto dw0 = randomVec(out_c * g.colRows(), 45);
+            const std::string shape = " c" + std::to_string(g.in_c) +
+                                      " k" + std::to_string(g.kernel_h) +
+                                      "x" + std::to_string(g.kernel_w) +
+                                      " s" + std::to_string(g.stride_h) +
+                                      "," + std::to_string(g.stride_w) +
+                                      " out_c " + std::to_string(out_c);
+            expectAvx512IsAvx2(("gemmConv" + shape).c_str(), [&] {
+                std::vector<float> y(static_cast<size_t>(batch * out_c * p));
+                gemmConv(g, batch, out_c, w.data(), x.data(), y.data());
+                return y;
+            });
+            expectAvx512IsAvx2(("gemmConvDw" + shape).c_str(), [&] {
+                std::vector<float> dw(dw0);
+                gemmConvDw(g, batch, out_c, dy.data(), x.data(), dw.data());
+                return dw;
+            });
+            expectAvx512IsAvx2(("gemmConvDx" + shape).c_str(), [&] {
+                std::vector<float> dx(dx0);
+                gemmConvDx(g, batch, out_c, w.data(), dy.data(), dx.data());
+                return dx;
+            });
+        }
 }
 
 } // namespace

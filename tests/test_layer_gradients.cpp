@@ -157,6 +157,31 @@ TEST(LayerGradients, ConvOneByOne)
     checkGradients(conv, std::move(inputs), {});
 }
 
+TEST(LayerGradients, ConvStrideTwoNonSquare)
+{
+    // Stride (2, 1) with a 3x2 kernel on 8x6: dX runs as two sub-pixel
+    // phases with two and one kernel rows, and the last input row is
+    // read by no output.
+    Rng rng(4);
+    ConvLayer conv(2, ConvSpec{ 3, 3, 2, 2, 1, 0, 0, true });
+    conv.initParams(rng);
+    std::vector<Tensor> inputs;
+    inputs.push_back(mixedSignTensor(Shape::nchw(2, 2, 8, 6), 0.1f, 14));
+    checkGradients(conv, std::move(inputs), {});
+}
+
+TEST(LayerGradients, ConvOneByOneStrideTwo)
+{
+    // A 1x1 stride-2 projection: only dX's even rows and columns get a
+    // gradient; the other three phases have no taps.
+    Rng rng(5);
+    ConvLayer conv(3, ConvSpec::square(4, 1, 2, 0));
+    conv.initParams(rng);
+    std::vector<Tensor> inputs;
+    inputs.push_back(mixedSignTensor(Shape::nchw(2, 3, 5, 6), 0.1f, 15));
+    checkGradients(conv, std::move(inputs), {});
+}
+
 TEST(LayerGradients, ConvWithoutBias)
 {
     Rng rng(3);

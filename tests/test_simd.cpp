@@ -7,9 +7,10 @@
  * compare/select layer kernels (ReLU backward, max-pool scans) over a
  * value sweep that hits the nasty corners — denormals, ±inf,
  * NaN, ±0, RNE ties, format overflow/underflow boundaries, and spans
- * with odd tails. The float kernels (axpy, the GEMM microkernel) are
- * only required to be close (they may use FMA), so they get a tolerance
- * check against a double-precision reference. The GIST_SIMD env
+ * with odd tails. The float kernels (axpy, the GEMM block kernel) fuse
+ * on avx2/avx512 and round apart on scalar/sse2, so across those they
+ * get a tolerance check against a double-precision reference; avx512's
+ * block kernel must equal avx2's bit for bit. The GIST_SIMD env
  * plumbing is exercised via initFromEnv().
  */
 
@@ -464,19 +465,43 @@ TEST_F(SimdEquivalence, AxpyCloseToScalarReference)
     }
 }
 
+/** An A block of @p mc rows packed as ceil(mc / kGemmMR) panels, exactly
+ *  that long, taken from @p full (kGemmMR-row panels over @p kc) with
+ *  rows >= mc of the last panel set to @p pad. */
+std::vector<float>
+packedRows(const std::vector<float> &full, std::int64_t kc, std::int64_t mc,
+           float pad)
+{
+    const std::int64_t panels = (mc + kGemmMR - 1) / kGemmMR;
+    std::vector<float> a(full.begin(), full.begin() + panels * kc * kGemmMR);
+    for (std::int64_t r = mc; r < panels * kGemmMR; ++r)
+        for (std::int64_t p = 0; p < kc; ++p)
+            a[static_cast<size_t>(r / kGemmMR * kc * kGemmMR +
+                                  p * kGemmMR + r % kGemmMR)] = pad;
+    return a;
+}
+
 TEST_F(SimdEquivalence, GemmMicroMatchesDoubleReferenceAtEdgeTiles)
 {
-    // C is a kGemmMR x kGemmNR window inside a wider row stride, ringed
-    // by sentinels that must survive; the packed pads past mr / nr hold
-    // NaN, which must not reach any stored element.
+    // The block kernel runs one strip down the ceil(mc / 6) packed
+    // panels of an A block into an mc x nr window of C. Here the window
+    // sits one row and one column into a C ringed by sentinels on every
+    // side (row stride kLdc), which must survive; the pack pads past
+    // mc / nr hold NaN, which must not reach any stored element. Every
+    // window must equal the corner of the full 48 x 16 block bit for bit
+    // (tiling independence, however a backend groups the panels), and
+    // the full block must match a double-precision reference.
+    constexpr std::int64_t kMaxM = 48;
     constexpr std::int64_t kLdc = kGemmNR + 3;
+    constexpr std::int64_t kCRows = kMaxM + 2;
+    constexpr std::int64_t kAt = kLdc + 1; // window origin
     const float kSentinel = -777.0f;
     const float kNan = std::numeric_limits<float>::quiet_NaN();
     Rng rng(606);
-    for (std::int64_t kc : { 1, 127, 128, 129 }) {
-        std::vector<float> a(static_cast<size_t>(kc * kGemmMR));
+    for (std::int64_t kc : { 1, 31, 129 }) {
+        std::vector<float> a(static_cast<size_t>(kMaxM * kc));
         std::vector<float> b(static_cast<size_t>(kc * kGemmNR));
-        std::vector<float> c0(static_cast<size_t>(kGemmMR * kLdc));
+        std::vector<float> c0(static_cast<size_t>(kCRows * kLdc));
         for (auto &v : a)
             v = rng.normal();
         for (auto &v : b)
@@ -486,69 +511,108 @@ TEST_F(SimdEquivalence, GemmMicroMatchesDoubleReferenceAtEdgeTiles)
         for (bool accumulate : { false, true })
             for (Backend be : availableBackends()) {
                 const SimdOps &o = opsFor(be);
-                // The full tile, whose corners every edge tile must
-                // reproduce bit for bit (tiling independence).
                 std::vector<float> full(c0);
-                o.gemmMicro(kc, a.data(), b.data(), full.data(), kLdc,
-                            kGemmMR, kGemmNR, accumulate);
-                for (std::int64_t mr = 1; mr <= kGemmMR; ++mr)
-                    for (std::int64_t nr = 1; nr <= kGemmNR; ++nr) {
-                        std::vector<float> ap(a), bp(b);
+                o.gemmBlock(kc, a.data(), kMaxM, b.data(), full.data() + kAt,
+                            kLdc, kGemmNR, accumulate);
+                for (std::int64_t i = 0; i < kMaxM; ++i)
+                    for (std::int64_t j = 0; j < kGemmNR; ++j) {
+                        const auto at = static_cast<size_t>(kAt + i * kLdc + j);
+                        double ref = accumulate ? c0[at] : 0.0;
+                        double mag = std::fabs(ref);
                         for (std::int64_t p = 0; p < kc; ++p) {
-                            for (std::int64_t i = mr; i < kGemmMR; ++i)
-                                ap[static_cast<size_t>(p * kGemmMR + i)] =
-                                    kNan;
+                            const double t =
+                                static_cast<double>(a[static_cast<size_t>(
+                                    i / kGemmMR * kc * kGemmMR +
+                                    p * kGemmMR + i % kGemmMR)]) *
+                                b[static_cast<size_t>(p * kGemmNR + j)];
+                            ref += t;
+                            mag += std::fabs(t);
+                        }
+                        ASSERT_NEAR(ref, full[at], 1.2e-7 * (kc + 1) * mag)
+                            << o.name << " kc " << kc << " at " << i << ","
+                            << j;
+                    }
+                for (std::int64_t mc = 1; mc <= kMaxM; ++mc) {
+                    const std::vector<float> ap = packedRows(a, kc, mc, kNan);
+                    for (std::int64_t nr = 1; nr <= kGemmNR; ++nr) {
+                        std::vector<float> bp(b);
+                        for (std::int64_t p = 0; p < kc; ++p)
                             for (std::int64_t j = nr; j < kGemmNR; ++j)
                                 bp[static_cast<size_t>(p * kGemmNR + j)] =
                                     kNan;
-                        }
                         std::vector<float> c(c0.size(), kSentinel);
-                        for (std::int64_t i = 0; i < mr; ++i)
-                            for (std::int64_t j = 0; j < nr; ++j)
-                                c[static_cast<size_t>(i * kLdc + j)] =
-                                    accumulate
-                                        ? c0[static_cast<size_t>(
-                                              i * kLdc + j)]
-                                        : kNan; // must not be read
-                        o.gemmMicro(kc, ap.data(), bp.data(), c.data(),
-                                    kLdc, mr, nr, accumulate);
-                        for (std::int64_t i = 0; i < kGemmMR; ++i)
-                            for (std::int64_t j = 0; j < kLdc; ++j) {
+                        for (std::int64_t i = 0; i < mc; ++i)
+                            for (std::int64_t j = 0; j < nr; ++j) {
                                 const auto at =
-                                    static_cast<size_t>(i * kLdc + j);
-                                if (i >= mr || j >= nr) {
+                                    static_cast<size_t>(kAt + i * kLdc + j);
+                                // Without accumulate C must not be read.
+                                c[at] = accumulate ? c0[at] : kNan;
+                            }
+                        o.gemmBlock(kc, ap.data(), mc, bp.data(),
+                                    c.data() + kAt, kLdc, nr, accumulate);
+                        for (std::int64_t r = 0; r < kCRows; ++r)
+                            for (std::int64_t q = 0; q < kLdc; ++q) {
+                                const auto at =
+                                    static_cast<size_t>(r * kLdc + q);
+                                const std::int64_t i = r - 1;
+                                const std::int64_t j = q - 1;
+                                if (i < 0 || i >= mc || j < 0 || j >= nr) {
                                     ASSERT_EQ(kSentinel, c[at])
-                                        << o.name << " stored outside "
-                                        << mr << "x" << nr << " at " << i
-                                        << "," << j;
+                                        << o.name << " kc " << kc
+                                        << " stored outside " << mc << "x"
+                                        << nr << " at " << i << "," << j;
                                     continue;
                                 }
-                                double ref = accumulate ? c0[at] : 0.0;
-                                double mag = std::fabs(ref);
-                                for (std::int64_t p = 0; p < kc; ++p) {
-                                    const double t =
-                                        static_cast<double>(a[static_cast<
-                                            size_t>(p * kGemmMR + i)]) *
-                                        b[static_cast<size_t>(
-                                            p * kGemmNR + j)];
-                                    ref += t;
-                                    mag += std::fabs(t);
-                                }
-                                ASSERT_NEAR(ref, c[at],
-                                            1.2e-7 * (kc + 1) * mag)
-                                    << o.name << " kc " << kc << " mr "
-                                    << mr << " nr " << nr << " at " << i
-                                    << "," << j;
                                 ASSERT_EQ(std::bit_cast<std::uint32_t>(
                                               full[at]),
-                                          std::bit_cast<std::uint32_t>(
-                                              c[at]))
-                                    << o.name << " edge tile " << mr
-                                    << "x" << nr << " differs from the "
-                                    << "full tile at " << i << "," << j;
+                                          std::bit_cast<std::uint32_t>(c[at]))
+                                    << o.name << " kc " << kc << " window "
+                                    << mc << "x" << nr
+                                    << " differs from the full block at "
+                                    << i << "," << j;
                             }
                     }
+                }
             }
+    }
+}
+
+TEST_F(SimdEquivalence, GemmBlockAvx512IsBitwiseAvx2)
+{
+    // Both tiers run every C element as one FMA chain over p ascending,
+    // 6 rows per pass on avx2 and up to 18 on avx512, so their blocks
+    // must be identical for every mc, nr and accumulate.
+    if (!backendAvailable(Backend::Avx512))
+        GTEST_SKIP() << "no avx512f on this CPU: avx512 block kernel "
+                        "not exercised";
+    const SimdOps &avx2 = opsFor(Backend::Avx2);
+    const SimdOps &avx512 = opsFor(Backend::Avx512);
+    Rng rng(607);
+    for (std::int64_t kc : { 1, 128, 300 }) {
+        std::vector<float> a(static_cast<size_t>(48 * kc));
+        std::vector<float> b(static_cast<size_t>(kc * kGemmNR));
+        std::vector<float> c0(static_cast<size_t>(48 * kGemmNR));
+        for (auto &v : a)
+            v = rng.normal();
+        for (auto &v : b)
+            v = rng.normal();
+        for (auto &v : c0)
+            v = rng.normal();
+        for (std::int64_t mc = 1; mc <= 48; ++mc) {
+            const std::vector<float> ap = packedRows(a, kc, mc, 0.0f);
+            for (std::int64_t nr = 1; nr <= kGemmNR; ++nr)
+                for (bool accumulate : { false, true }) {
+                    std::vector<float> want(c0), got(c0);
+                    avx2.gemmBlock(kc, ap.data(), mc, b.data(), want.data(),
+                                   kGemmNR, nr, accumulate);
+                    avx512.gemmBlock(kc, ap.data(), mc, b.data(), got.data(),
+                                     kGemmNR, nr, accumulate);
+                    ASSERT_TRUE(sameBytes(want.data(), got.data(),
+                                          want.size() * sizeof(float)))
+                        << "kc " << kc << " mc " << mc << " nr " << nr
+                        << " accumulate " << accumulate;
+                }
+        }
     }
 }
 
@@ -561,11 +625,13 @@ TEST_F(SimdEquivalence, ParseBackendAcceptsExactNamesOnly)
     EXPECT_EQ(Backend::Sse2, b);
     EXPECT_TRUE(parseBackend("avx2", &b));
     EXPECT_EQ(Backend::Avx2, b);
+    EXPECT_TRUE(parseBackend("avx512", &b));
+    EXPECT_EQ(Backend::Avx512, b);
 
     b = Backend::Sse2;
     EXPECT_FALSE(parseBackend("", &b));
     EXPECT_FALSE(parseBackend("AVX2", &b)); // case-sensitive
-    EXPECT_FALSE(parseBackend("avx512", &b));
+    EXPECT_FALSE(parseBackend("avx512f", &b));
     EXPECT_FALSE(parseBackend("scalar ", &b));
     EXPECT_EQ(Backend::Sse2, b); // untouched on failure
 }
