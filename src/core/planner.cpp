@@ -6,7 +6,6 @@
 #include <set>
 
 #include "layers/conv.hpp"
-#include "obs/counters.hpp"
 #include "perf/gpu_model.hpp"
 #include "tensor/im2col.hpp"
 #include "util/logging.hpp"
@@ -438,9 +437,6 @@ estimateStepCost(const Graph &graph, const BuiltSchedule &schedule,
             est.decode_seconds += total;
     }
     if (est.missing > 0) {
-        obs::MetricRegistry::instance()
-            .counter("gist.planner.missing_shapes")
-            .add(static_cast<std::uint64_t>(est.missing));
         // Warn once per process, not per call: schedule sweeps price
         // hundreds of configs against one table and every one of them
         // would repeat the same complaint.
@@ -1100,10 +1096,6 @@ optimizeHybridSchedule(const Graph &graph, BuiltSchedule &schedule,
         slot.est_seconds = cur.slot_seconds[idx];
         plan.slots.push_back(std::move(slot));
     }
-    if (cost.missingCount() > 0)
-        obs::MetricRegistry::instance()
-            .counter("gist.planner.missing_shapes")
-            .add(static_cast<std::uint64_t>(cost.missingCount()));
     if (!feasible)
         GIST_WARN("mem budget ", budget_bytes,
                   " bytes is infeasible: even the most aggressive "

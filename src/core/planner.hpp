@@ -109,12 +109,11 @@ struct CostEstimate
  * priced from a measured calibration @p table: exact (kernel, shape)
  * entries when present, work_bytes interpolation otherwise. Kernels the
  * table has never seen contribute zero and bump CostEstimate::missing,
- * so callers can tell a cheap schedule from an unpriced one. Every
- * missing shape also bumps the process-global
- * "gist.planner.missing_shapes" counter (visible in the metrics JSONL
- * snapshot), and the first call that drops shapes warns on stderr
- * naming the largest one dropped — a silently-unpriced schedule looks
- * exactly like a cheap one otherwise.
+ * so callers can tell a cheap schedule from an unpriced one (the
+ * hybrid plan JSON reports the count as "missing_shapes"). The first
+ * call that drops shapes warns on stderr naming the largest one
+ * dropped — a silently-unpriced schedule looks exactly like a cheap
+ * one otherwise.
  */
 CostEstimate estimateStepCost(const Graph &graph,
                               const BuiltSchedule &schedule,

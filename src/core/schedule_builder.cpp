@@ -236,7 +236,6 @@ applyToExecutor(const BuiltSchedule &schedule, Executor &exec)
             any_swap |= decision.repr == StashPlan::Repr::Swap;
         if (schedule.config.device_pool_bytes > 0 || any_swap) {
             DevicePoolConfig pc;
-            pc.registry = &exec.registry();
             pc.cap_bytes = schedule.config.device_pool_bytes;
             pc.tier_path = schedule.config.tier_path;
             pc.tier_bytes_per_second =
@@ -247,7 +246,8 @@ applyToExecutor(const BuiltSchedule &schedule, Executor &exec)
         }
     }
     exec.setElideDecode(schedule.config.elide_decode_buffer);
-    exec.setNumThreads(schedule.config.num_threads);
+    if (schedule.config.num_threads > 0)
+        setNumThreads(schedule.config.num_threads);
     exec.setAsyncCodec(schedule.config.async_codec,
                        schedule.config.codec_threads);
     if (!schedule.config.trace_path.empty())

@@ -109,8 +109,9 @@ BuiltSchedule buildSchedule(Graph &graph, const GistConfig &config);
 /**
  * Install the runtime side of @p schedule on an executor: StashPlans for
  * CSR/DPR nodes (layer modes were already set by buildSchedule), the
- * device pool, elide, threads and the async codec, all read from
- * schedule.config alone.
+ * device pool, elide and the async codec, all read from
+ * schedule.config alone. A positive num_threads also resizes the
+ * process-global thread pool, which every executor shares.
  */
 void applyToExecutor(const BuiltSchedule &schedule, Executor &exec);
 

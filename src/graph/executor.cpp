@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "memory/arena.hpp"
 #include "obs/trace.hpp"
@@ -62,54 +61,9 @@ planEncodes(const StashPlan &plan)
 
 } // namespace
 
-Executor::Telemetry::Telemetry(obs::MetricRegistry &registry)
-    : encode_ns(registry.counter("gist.encode.ns")),
-      decode_ns(registry.counter("gist.decode.ns")),
-      encoded_bytes(
-          registry.counter("gist.encode.bytes")),
-      dense_bytes_replaced(registry.counter(
-          "gist.encode.dense_bytes_replaced")),
-      csr_encoded_bytes(
-          registry.counter("gist.csr.encoded_bytes")),
-      csr_dense_bytes(
-          registry.counter("gist.csr.dense_bytes")),
-      dpr_encoded_bytes(
-          registry.counter("gist.dpr.encoded_bytes")),
-      dpr_dense_bytes(
-          registry.counter("gist.dpr.dense_bytes")),
-      sparsity_zero_elems(
-          registry.counter("gist.sparsity.zero_elems")),
-      sparsity_total_elems(registry.counter(
-          "gist.sparsity.total_elems")),
-      minibatches(
-          registry.counter("gist.exec.minibatches")),
-      codec_stall_ns(
-          registry.counter("gist.codec.stall_ns")),
-      codec_stalls(
-          registry.counter("gist.codec.stalls")),
-      codec_queue_wait_ns(registry.counter(
-          "gist.codec.queue_wait_ns")),
-      codec_run_ns(
-          registry.counter("gist.codec.run_ns")),
-      recompute_ns(
-          registry.counter("gist.recompute.ns")),
-      recompute_segments(registry.counter(
-          "gist.recompute.segments")),
-      recompute_nodes(
-          registry.counter("gist.recompute.nodes")),
-      recompute_dropped_bytes(registry.counter(
-          "gist.recompute.dropped_bytes")),
-      codec_queue_depth(
-          registry.gauge("gist.codec.queue_depth")),
-      pool_bytes(registry.gauge("gist.fmap_pool.bytes"))
-{
-}
-
-Executor::Executor(Graph &graph, obs::MetricRegistry *registry)
+Executor::Executor(Graph &graph)
     : graph_(graph),
-      registry_(registry ? registry : &obs::MetricRegistry::instance()),
       states(static_cast<size_t>(graph.numNodes())),
-      tele(*registry_),
       mem_accounts(new SlotAccount[static_cast<size_t>(graph.numNodes())])
 {
     for (std::int64_t i = 0; i < graph_.numNodes(); ++i)
@@ -122,19 +76,6 @@ Executor::setStashPlan(NodeId id, StashPlan plan)
 {
     GIST_ASSERT(id >= 0 && id < graph_.numNodes(), "bad node id");
     states[static_cast<size_t>(id)].plan = std::move(plan);
-}
-
-void
-Executor::setNumThreads(int n)
-{
-    if (n > 0)
-        gist::setNumThreads(n);
-}
-
-int
-Executor::numThreads() const
-{
-    return gist::numThreads();
 }
 
 void
@@ -275,7 +216,7 @@ void
 Executor::memprofFinishStep()
 {
     obs::MemProfStep step;
-    step.step = tele.minibatches.value() - 1;
+    step.step = tele.minibatches - 1;
     step.job = job_tag_;
     step.arena_high_water = static_cast<std::int64_t>(
         WorkspaceArena::instance().stepHighWaterBytes());
@@ -373,14 +314,8 @@ Executor::retireAfterForward(NodeId id)
         return; // already retired (e.g. node feeding the same consumer
                 // through two edges)
 
-    if (collect_sparsity) {
+    if (collect_sparsity)
         st.sparsity = st.value.sparsity();
-        tele.sparsity_zero_elems.add(static_cast<std::uint64_t>(
-            std::llround(st.sparsity *
-                         static_cast<double>(st.value.numel()))));
-        tele.sparsity_total_elems.add(
-            static_cast<std::uint64_t>(st.value.numel()));
-    }
 
     if (!sched->stashed(id)) {
         meterSub(id, MemKind::Value, st.value.bytes());
@@ -453,13 +388,9 @@ Executor::encodeSlot(NodeId id)
         st.csr.encode(st.value.span());
         st.csr_ratio = st.csr.compressionRatio();
         encoded_bytes = st.csr.bytes();
-        tele.csr_encoded_bytes.add(encoded_bytes);
-        tele.csr_dense_bytes.add(st.value.bytes());
     } else {
         st.dpr.encode(st.plan.dpr, st.value.span());
         encoded_bytes = st.dpr.bytes();
-        tele.dpr_encoded_bytes.add(encoded_bytes);
-        tele.dpr_dense_bytes.add(st.value.bytes());
     }
     tele.encode_ns.add(nanosSince(t0));
     tele.encoded_bytes.add(encoded_bytes);
@@ -1039,27 +970,13 @@ Executor::runMinibatch(const Tensor &input,
     WorkspaceArena::instance().beginStep();
     last_stats = ExecStats{};
     cur_input_ = &input;
-    tele.minibatches.add(1);
-    // Per-run deltas of the shared instruments (see ExecStats docs).
-    const std::uint64_t encode_ns0 = tele.encode_ns.value();
-    const std::uint64_t decode_ns0 = tele.decode_ns.value();
-    const std::uint64_t encoded_bytes0 = tele.encoded_bytes.value();
-    const std::uint64_t dense_replaced0 = tele.dense_bytes_replaced.value();
-    const std::uint64_t stall_ns0 = tele.codec_stall_ns.value();
-    const std::uint64_t stalls0 = tele.codec_stalls.value();
-    const std::uint64_t recompute_ns0 = tele.recompute_ns.value();
-    const std::uint64_t recompute_segments0 =
-        tele.recompute_segments.value();
-    const std::uint64_t recompute_nodes0 = tele.recompute_nodes.value();
-    const std::uint64_t recompute_dropped0 =
-        tele.recompute_dropped_bytes.value();
+    ++tele.minibatches;
+    tele.beginStep();
     const CodecQueueStats q0 = codec_queue_.stats();
     codec_queue_.markDepth();
     const TierStats tier0 =
         device_pool_ ? device_pool_->stats() : TierStats{};
     evict_fifo_.clear(); // stale ids only; all tickets joined by now
-    tele.pool_bytes.set(0);
-    tele.pool_bytes.resetPeak();
     memory_trace.clear();
     const bool memprof = obs::memprofEnabled();
     if (memprof)
@@ -1270,37 +1187,29 @@ Executor::runMinibatch(const Tensor &input,
 
     last_stats.loss = loss_layer->lastLoss();
     last_stats.encode_seconds =
-        static_cast<double>(tele.encode_ns.value() - encode_ns0) * 1e-9;
+        static_cast<double>(tele.encode_ns.value()) * 1e-9;
     last_stats.decode_seconds =
-        static_cast<double>(tele.decode_ns.value() - decode_ns0) * 1e-9;
-    last_stats.encoded_bytes = tele.encoded_bytes.value() - encoded_bytes0;
-    last_stats.dense_bytes_replaced =
-        tele.dense_bytes_replaced.value() - dense_replaced0;
+        static_cast<double>(tele.decode_ns.value()) * 1e-9;
+    last_stats.encoded_bytes = tele.encoded_bytes.value();
+    last_stats.dense_bytes_replaced = tele.dense_bytes_replaced.value();
     last_stats.peak_pool_bytes =
         static_cast<std::uint64_t>(tele.pool_bytes.peak());
     last_stats.recompute_seconds =
-        static_cast<double>(tele.recompute_ns.value() - recompute_ns0) *
-        1e-9;
-    last_stats.recompute_segments =
-        tele.recompute_segments.value() - recompute_segments0;
-    last_stats.recompute_nodes =
-        tele.recompute_nodes.value() - recompute_nodes0;
+        static_cast<double>(tele.recompute_ns.value()) * 1e-9;
+    last_stats.recompute_segments = tele.recompute_segments.value();
+    last_stats.recompute_nodes = tele.recompute_nodes.value();
     last_stats.recompute_dropped_bytes =
-        tele.recompute_dropped_bytes.value() - recompute_dropped0;
+        tele.recompute_dropped_bytes.value();
     cur_input_ = nullptr;
 
-    // Stall accounting: per-step deltas of the stall counters (bumped
-    // by joinTicket) and of the CodecQueue's own per-ticket stats,
-    // mirrored into the registry so snapshot-based tools see them.
+    // Stall accounting: the stall counters (bumped by joinTicket) and
+    // per-step deltas of the CodecQueue's own per-ticket stats.
     const CodecQueueStats q1 = codec_queue_.stats();
-    last_stats.codec_stall_ns = tele.codec_stall_ns.value() - stall_ns0;
-    last_stats.codec_stalls = tele.codec_stalls.value() - stalls0;
+    last_stats.codec_stall_ns = tele.codec_stall_ns.value();
+    last_stats.codec_stalls = tele.codec_stalls.value();
     last_stats.codec_queue_wait_ns = q1.queue_wait_ns - q0.queue_wait_ns;
     last_stats.codec_run_ns = q1.run_ns - q0.run_ns;
     last_stats.codec_queue_peak_depth = q1.max_depth;
-    tele.codec_queue_wait_ns.add(last_stats.codec_queue_wait_ns);
-    tele.codec_run_ns.add(last_stats.codec_run_ns);
-    tele.codec_queue_depth.set(q1.max_depth);
     if (last_stats.codec_run_ns > 0) {
         const double stall = static_cast<double>(
             std::min(last_stats.codec_stall_ns, last_stats.codec_run_ns));

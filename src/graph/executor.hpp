@@ -71,12 +71,11 @@ struct StashPlan
 };
 
 /**
- * Per-minibatch execution statistics.
- *
- * These are per-run *views* of the process-global instruments in
- * obs::MetricRegistry ("gist.encode.bytes", "gist.fmap_pool.bytes", ...):
- * the executor snapshots the registry at minibatch start and stores the
- * deltas here, so per-run numbers and cumulative telemetry always agree.
+ * Per-minibatch execution statistics: the one place a caller reads what
+ * the executor counted. Every field covers the last runMinibatch()
+ * alone. The counts come from the executor's own instruments (zeroed
+ * at each minibatch start), its CodecQueue's stats and its DevicePool's
+ * TierStats (both diffed across the minibatch).
  */
 struct ExecStats
 {
@@ -143,15 +142,11 @@ class Executor
 {
   public:
     /**
-     * @param registry instrument registry this executor meters into.
-     * nullptr (the default) uses the process-global registry — the
-     * single-run configuration. A multi-job service passes one registry
-     * per job, which makes the executor fully self-contained: the pool
-     * gauge, codec counters and ExecStats deltas of concurrent
-     * executors never touch each other.
+     * The executor owns every count it takes (the pool gauge, codec
+     * and recompute counters, its codec queue and device pool), so two
+     * executors in one process never touch each other's ExecStats.
      */
-    explicit Executor(Graph &graph,
-                      obs::MetricRegistry *registry = nullptr);
+    explicit Executor(Graph &graph);
 
     /** Set the stash storage plan for node @p id's output. */
     void setStashPlan(NodeId id, StashPlan plan);
@@ -222,17 +217,6 @@ class Executor
     /** The attached device pool (nullptr when unbounded / detached). */
     DevicePool *devicePool() const { return device_pool_.get(); }
 
-    /**
-     * Size the shared thread pool driving gemm/im2col/encode/decode.
-     * n >= 1 forces that count; n == 0 keeps the current (auto-resolved)
-     * setting. The pool is process-global, so this affects every
-     * executor.
-     */
-    void setNumThreads(int n);
-
-    /** Current thread count of the shared pool. */
-    int numThreads() const;
-
     /** Seconds spent in node @p id's forward at the last minibatch. */
     double lastFwdSeconds(NodeId id) const;
     /** Seconds spent in node @p id's backward at the last minibatch. */
@@ -276,9 +260,6 @@ class Executor
 
     Graph &graph() { return graph_; }
     const ScheduleInfo &schedule() const;
-
-    /** The registry this executor meters into (global by default). */
-    obs::MetricRegistry &registry() { return *registry_; }
 
     /**
      * Tag this executor's observability records with a job id: memprof
@@ -430,41 +411,44 @@ class Executor
     void memprofFinishStep();
 
     /**
-     * Registry-backed instruments (see ExecStats). The memory meter is
-     * the "gist.fmap_pool.bytes" gauge; encode/decode time and byte
-     * counters split per encoding so compression ratios are derivable
-     * from the registry alone.
+     * The executor's own instruments; ExecStats is filled from them at
+     * the end of each minibatch. beginStep() zeroes the per-step
+     * counters and the pool meter, so each reads this minibatch alone.
+     * Codec workers bump them in async mode, hence the atomics.
      */
     struct Telemetry
     {
-        explicit Telemetry(obs::MetricRegistry &registry);
-        obs::Counter &encode_ns;
-        obs::Counter &decode_ns;
-        obs::Counter &encoded_bytes;
-        obs::Counter &dense_bytes_replaced;
-        obs::Counter &csr_encoded_bytes;
-        obs::Counter &csr_dense_bytes;
-        obs::Counter &dpr_encoded_bytes;
-        obs::Counter &dpr_dense_bytes;
-        obs::Counter &sparsity_zero_elems;
-        obs::Counter &sparsity_total_elems;
-        obs::Counter &minibatches;
-        obs::Counter &codec_stall_ns;
-        obs::Counter &codec_stalls;
-        obs::Counter &codec_queue_wait_ns;
-        obs::Counter &codec_run_ns;
-        obs::Counter &recompute_ns;
-        obs::Counter &recompute_segments;
-        obs::Counter &recompute_nodes;
-        obs::Counter &recompute_dropped_bytes;
-        obs::Gauge &codec_queue_depth;
-        obs::Gauge &pool_bytes;
+        obs::Counter encode_ns;
+        obs::Counter decode_ns;
+        obs::Counter encoded_bytes;
+        obs::Counter dense_bytes_replaced;
+        obs::Counter codec_stall_ns;
+        obs::Counter codec_stalls;
+        obs::Counter recompute_ns;
+        obs::Counter recompute_segments;
+        obs::Counter recompute_nodes;
+        obs::Counter recompute_dropped_bytes;
+        /** Feature-map-pool memory meter (ExecStats::peak_pool_bytes,
+         *  the DevicePool cap check, memprof's pool level). */
+        obs::Gauge pool_bytes;
+        /** Minibatches run (main thread only); memprof's step index. */
+        std::uint64_t minibatches = 0;
+
+        void
+        beginStep()
+        {
+            for (obs::Counter *c :
+                 { &encode_ns, &decode_ns, &encoded_bytes,
+                   &dense_bytes_replaced, &codec_stall_ns, &codec_stalls,
+                   &recompute_ns, &recompute_segments, &recompute_nodes,
+                   &recompute_dropped_bytes })
+                c->reset();
+            pool_bytes.set(0);
+            pool_bytes.resetPeak();
+        }
     };
 
     Graph &graph_;
-    /** Instrument registry (never null; see the constructor). Declared
-     *  before tele so the Telemetry references resolve against it. */
-    obs::MetricRegistry *registry_;
     /** Job id tag for memprof/trace records; empty = untagged. */
     std::string job_tag_;
     std::unique_ptr<ScheduleInfo> sched;

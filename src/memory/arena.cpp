@@ -6,7 +6,6 @@
 #include <new>
 #include <vector>
 
-#include "obs/counters.hpp"
 #include "util/bits.hpp"
 #include "util/logging.hpp"
 
@@ -71,14 +70,6 @@ alignedDelete(void *p)
     ::operator delete(p, std::align_val_t(kArenaAlign));
 }
 
-obs::Gauge &
-arenaGauge()
-{
-    static obs::Gauge *g =
-        &obs::MetricRegistry::instance().gauge("gist.arena.bytes");
-    return *g;
-}
-
 } // namespace
 
 namespace detail {
@@ -117,7 +108,6 @@ WorkspaceArena::beginStep()
         return;
     RegionRegistry &reg = registry();
     std::lock_guard<std::mutex> lock(reg.mu);
-    std::size_t reserved = 0;
     for (detail::ArenaRegion *r : reg.regions) {
         // No frame may be open across beginStep(); a region that still
         // holds overflow chunks here indicates a leaked ArenaScope.
@@ -130,9 +120,7 @@ WorkspaceArena::beginStep()
         r->off = 0;
         r->in_use = 0;
         r->step_water = 0;
-        reserved += r->cap;
     }
-    arenaGauge().set(static_cast<std::int64_t>(reserved));
 }
 
 std::size_t

@@ -27,8 +27,8 @@
  * orders it against kernel execution on both sides; an open-frame count
  * asserts that no ArenaScope (on any thread) spans the call.
  *
- * Reserved bytes are published to the "gist.arena.bytes" gauge (peak
- * tracking included) in the PR 2 metric registry. Set GIST_ARENA=0 to
+ * reservedBytes() reports the resident block total (the memory
+ * profiler samples it at every node boundary). Set GIST_ARENA=0 to
  * bypass the arena: every alloc() becomes a plain heap allocation freed
  * by the frame destructor, which keeps lifetimes identical while
  * isolating arena effects in A/B runs.

@@ -1,86 +1,13 @@
 #include "memory/device_pool.hpp"
 
-#include <chrono>
-
 namespace gist {
-
-namespace {
-
-std::uint64_t
-nanosSince(std::chrono::steady_clock::time_point t0)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-}
-
-} // namespace
-
-namespace {
-
-obs::MetricRegistry &
-registryOf(const DevicePoolConfig &config)
-{
-    return config.registry ? *config.registry
-                           : obs::MetricRegistry::instance();
-}
-
-} // namespace
 
 DevicePool::DevicePool(const DevicePoolConfig &config)
     : config_(config),
       tier_(config.tier_path.empty()
                 ? makeMemoryTier(config.tier_bytes_per_second)
-                : makeFileTier(config.tier_path)),
-      evictions_(registryOf(config).counter("gist.tier.evictions")),
-      fetches_(registryOf(config).counter("gist.tier.fetches")),
-      bytes_out_(registryOf(config).counter("gist.tier.bytes_out")),
-      bytes_in_(registryOf(config).counter("gist.tier.bytes_in")),
-      write_ns_(registryOf(config).counter("gist.tier.write_ns")),
-      read_ns_(registryOf(config).counter("gist.tier.read_ns")),
-      tier_bytes_(registryOf(config).gauge("gist.tier.bytes"))
+                : makeFileTier(config.tier_path))
 {
-}
-
-void
-DevicePool::store(std::int64_t key, const void *data, std::uint64_t bytes)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    tier_->store(key, data, bytes);
-    evictions_.add(1);
-    bytes_out_.add(bytes);
-    write_ns_.add(nanosSince(t0));
-    tier_bytes_.set(static_cast<std::int64_t>(tier_->residentBytes()));
-}
-
-void
-DevicePool::fetch(std::int64_t key, void *dst, std::uint64_t bytes)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    tier_->fetch(key, dst, bytes);
-    fetches_.add(1);
-    bytes_in_.add(bytes);
-    read_ns_.add(nanosSince(t0));
-}
-
-std::uint64_t
-DevicePool::storedBytes(std::int64_t key) const
-{
-    return tier_->storedBytes(key);
-}
-
-void
-DevicePool::erase(std::int64_t key)
-{
-    tier_->erase(key);
-    tier_bytes_.set(static_cast<std::int64_t>(tier_->residentBytes()));
-}
-
-std::uint64_t
-DevicePool::residentBytes() const
-{
-    return tier_->residentBytes();
 }
 
 } // namespace gist

@@ -3,18 +3,14 @@
  * DevicePool: a byte cap on the simulated device's feature-map pool,
  * with a slow tier behind it.
  *
- * The executor's memory meter ("gist.fmap_pool.bytes") stands in for
- * device memory; the pool does not allocate anything itself. What it
- * owns is the *overflow path*: when the metered level exceeds cap(),
- * the executor evicts stash slots through store() into the pool's
- * TierStore and fetches them back before their backward reads. The
- * pool wraps every transfer with timing and mirrors the tier traffic
- * into the obs registry:
- *
- *   gist.tier.evictions / gist.tier.fetches      (counters)
- *   gist.tier.bytes_out / gist.tier.bytes_in     (counters)
- *   gist.tier.write_ns  / gist.tier.read_ns      (counters)
- *   gist.tier.bytes                              (gauge, resident level)
+ * The executor's memory meter (its pool gauge, ExecStats::
+ * peak_pool_bytes) stands in for device memory; the pool does not
+ * allocate anything itself. What it owns is the *overflow path*: when
+ * the metered level exceeds cap(), the executor evicts stash slots
+ * through store() into the pool's TierStore and fetches them back
+ * before their backward reads. The tier counts and times its own
+ * traffic (stats(), which the executor turns into ExecStats' per-step
+ * tier_* fields) and its resident level (residentBytes()).
  *
  * cap() == 0 disables enforcement (an unbounded device); the store
  * still works, which is what the planner's pure-swap plans use.
@@ -27,7 +23,6 @@
 #include <string>
 
 #include "memory/tier.hpp"
-#include "obs/counters.hpp"
 
 namespace gist {
 
@@ -44,13 +39,6 @@ struct DevicePoolConfig
      * speed is the filesystem's own.
      */
     double tier_bytes_per_second = 0.0;
-    /**
-     * Registry the gist.tier.* instruments live in. nullptr (the
-     * default) uses the process-global registry; a multi-job service
-     * passes the owning executor's per-job registry so concurrent
-     * pools never share counters.
-     */
-    obs::MetricRegistry *registry = nullptr;
 };
 
 /** The bounded device pool + its slow tier. */
@@ -65,19 +53,31 @@ class DevicePool
     std::uint64_t cap() const { return config_.cap_bytes; }
 
     /** Evict: move @p bytes of @p data for slot @p key into the tier. */
-    void store(std::int64_t key, const void *data, std::uint64_t bytes);
+    void
+    store(std::int64_t key, const void *data, std::uint64_t bytes)
+    {
+        tier_->store(key, data, bytes);
+    }
 
     /** Fetch slot @p key's blob back (@p bytes = its stored size). */
-    void fetch(std::int64_t key, void *dst, std::uint64_t bytes);
+    void
+    fetch(std::int64_t key, void *dst, std::uint64_t bytes)
+    {
+        tier_->fetch(key, dst, bytes);
+    }
 
     /** Stored blob size of slot @p key (0 when not tier-resident). */
-    std::uint64_t storedBytes(std::int64_t key) const;
+    std::uint64_t
+    storedBytes(std::int64_t key) const
+    {
+        return tier_->storedBytes(key);
+    }
 
     /** Drop slot @p key from the tier. */
-    void erase(std::int64_t key);
+    void erase(std::int64_t key) { tier_->erase(key); }
 
-    /** Bytes currently tier-resident (the gist.tier.bytes gauge). */
-    std::uint64_t residentBytes() const;
+    /** Bytes currently tier-resident. */
+    std::uint64_t residentBytes() const { return tier_->residentBytes(); }
 
     /** Cumulative transfer statistics of the tier. */
     TierStats stats() const { return tier_->stats(); }
@@ -90,13 +90,6 @@ class DevicePool
   private:
     DevicePoolConfig config_;
     std::unique_ptr<TierStore> tier_;
-    obs::Counter &evictions_;
-    obs::Counter &fetches_;
-    obs::Counter &bytes_out_;
-    obs::Counter &bytes_in_;
-    obs::Counter &write_ns_;
-    obs::Counter &read_ns_;
-    obs::Gauge &tier_bytes_;
 };
 
 } // namespace gist

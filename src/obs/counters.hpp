@@ -1,30 +1,24 @@
 /**
  * @file
- * Process-global counter/gauge registry — the numeric side of the
- * observability layer.
+ * Counter and Gauge: lock-free numeric instruments.
  *
- * Counter: monotonically increasing uint64 (bytes encoded, elements
- * seen, nanoseconds spent). Gauge: a level with built-in peak tracking
- * (the executor's feature-map-pool memory meter). All mutation is
- * lock-free atomics, so kernels on any pool thread may bump them;
- * lookup-by-name takes the registry mutex once, after which the
- * returned reference stays valid for the process lifetime.
+ * Counter: monotonically increasing uint64 (bytes encoded, nanoseconds
+ * spent). Gauge: a level with built-in peak tracking (the executor's
+ * feature-map-pool memory meter). Each is a plain value owned by the
+ * object that updates it, which is also the one that reports it (the
+ * executor through ExecStats); there is no name and no lookup. All
+ * mutation is relaxed atomics, so codec workers and pool threads may
+ * bump them while the owner reads.
  *
- * Derived quantities stay out of the registry by design: a compression
- * ratio is dense_bytes / encoded_bytes of two counters, observed
- * sparsity is zero_elems / total_elems — integer counters compose
- * race-free where a stored double would not.
+ * Derived quantities stay out of the instruments by design: a
+ * compression ratio is dense_bytes / encoded_bytes of two counters —
+ * integer counters compose race-free where a stored double would not.
  */
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
 
 namespace gist::obs {
 
@@ -114,37 +108,6 @@ class Gauge
 
     std::atomic<std::int64_t> cur_{ 0 };
     std::atomic<std::int64_t> peak_{ 0 };
-};
-
-/** One registry entry at snapshot time. */
-struct MetricSample
-{
-    std::string name;
-    std::int64_t value = 0;  ///< counter value or gauge current
-    bool is_gauge = false;
-    std::int64_t peak = 0;   ///< gauges only
-};
-
-/** Named registry; instruments register lazily and live forever. */
-class MetricRegistry
-{
-  public:
-    static MetricRegistry &instance();
-
-    /** Find-or-create; the reference never dangles. */
-    Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-
-    /** Point-in-time copy of every instrument, sorted by name. */
-    std::vector<MetricSample> snapshot() const;
-
-    /** Zero every counter and gauge (test isolation helper). */
-    void resetAll();
-
-  private:
-    mutable std::mutex mu_;
-    std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
 };
 
 } // namespace gist::obs

@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 
-#include "obs/counters.hpp"
 #include "obs/memprof.hpp"
 #include "obs/metrics.hpp"
 #include "util/logging.hpp"
@@ -176,12 +175,6 @@ traceRecord(const char *cat, const char *name, std::uint64_t ts_ns,
     const std::uint32_t h = b.head.load(std::memory_order_relaxed);
     if (h >= kCapacity) {
         b.dropped.fetch_add(1, std::memory_order_relaxed);
-        // Mirror into the registry so a metrics snapshot flags the
-        // truncation even when nobody inspects the trace footer. The
-        // name lookup resolves once; drops are already the cold path.
-        static Counter &drops =
-            MetricRegistry::instance().counter("gist.trace.dropped");
-        drops.add(1);
         return;
     }
     RawEvent &e = b.events[h];

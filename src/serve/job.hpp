@@ -6,8 +6,8 @@
  * the JSONL job-spec parser the gist_serve driver feeds from.
  *
  * A JobSpec is everything needed to build a fully self-contained run:
- * the JobManager derives a per-job dataset, graph, metric registry,
- * executor, metrics sink and train loop from it, so concurrent jobs
+ * the JobManager derives a per-job dataset, graph, executor, metrics
+ * sink and train loop from it, so concurrent jobs
  * share nothing but the process thread pool.
  */
 

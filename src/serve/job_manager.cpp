@@ -6,7 +6,6 @@
 #include "core/schedule_builder.hpp"
 #include "graph/executor.hpp"
 #include "models/tiny.hpp"
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "train/dataset.hpp"
 #include "util/logging.hpp"
@@ -35,8 +34,9 @@ apiFail(std::string *err, const std::string &what)
 
 /**
  * Everything one admitted job owns while live. Jobs share nothing but
- * the process thread pool: per-job registry (executor telemetry +
- * tier counters), per-job metrics sink, per-job dataset/graph/RNG.
+ * the process thread pool: the executor and its device pool keep
+ * their own counters, and each job has its own metrics sink and
+ * dataset/graph/RNG.
  * Destroying the runtime frees the arena, the codec queue and the
  * device pool (a file tier unlinks its spill files).
  */
@@ -44,7 +44,6 @@ struct JobManager::Runtime
 {
     SyntheticDataset data;
     Graph graph;
-    obs::MetricRegistry registry;
     obs::MetricsSink sink;
     std::unique_ptr<Executor> exec;
     std::unique_ptr<Trainer> trainer;
@@ -406,7 +405,7 @@ JobManager::buildJob(Job &job, std::unique_lock<std::mutex> &lock)
         Rng rng(spec.seed);
         rt->graph.initParams(rng);
         const BuiltSchedule schedule = buildSchedule(rt->graph, spec.gist);
-        rt->exec = std::make_unique<Executor>(rt->graph, &rt->registry);
+        rt->exec = std::make_unique<Executor>(rt->graph);
         rt->exec->setJobTag(spec.id);
         applyToExecutor(schedule, *rt->exec);
         rt->trainer = std::make_unique<Trainer>(*rt->exec);

@@ -3,15 +3,15 @@
  * JobManager: the multi-tenant training service core.
  *
  * A registry of concurrent training jobs, each wrapping a fully
- * self-contained executor + trainer (its own graph, dataset, metric
- * registry, metrics sink, device pool and RNG streams), multiplexed
+ * self-contained executor + trainer (its own graph, dataset, counters,
+ * metrics sink, device pool and RNG streams), multiplexed
  * over the shared process thread pool by a single scheduler thread
  * that steps runnable jobs round-robin, one minibatch per turn.
  *
  * Determinism: parallelFor() partitions work by (begin, end, grain)
  * only, so a minibatch computes bitwise-identical results no matter
  * which thread calls it or what ran before. Jobs share no mutable
- * state (per-job registry/sink/pool/queue), so serialized round-robin
+ * state (per-job counters/sink/pool/queue), so serialized round-robin
  * stepping makes every job's final weights bitwise-identical to the
  * same spec run solo — the property tests/test_job_manager.cpp pins.
  *

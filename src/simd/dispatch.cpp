@@ -26,17 +26,6 @@ namespace gist::simd {
 namespace {
 
 bool
-cpuHasSse42()
-{
-#if GIST_SIMD_X86 && defined(__GNUC__)
-    return __builtin_cpu_supports("sse4.2") &&
-           __builtin_cpu_supports("popcnt");
-#else
-    return false;
-#endif
-}
-
-bool
 cpuHasAvx2()
 {
 #if GIST_SIMD_X86 && defined(__GNUC__)
@@ -66,7 +55,7 @@ resolveFromEnv()
         if (!parseBackend(env, &requested)) {
             std::fprintf(stderr,
                          "gist: GIST_SIMD=%s not recognized "
-                         "(scalar|sse2|avx2|avx512); using %s\n",
+                         "(scalar|avx2|avx512); using %s\n",
                          env, backendName(b));
         } else if (!backendAvailable(requested)) {
             std::fprintf(stderr,
@@ -118,7 +107,6 @@ backendName(Backend b)
 {
     switch (b) {
     case Backend::Scalar: return "scalar";
-    case Backend::Sse2: return "sse2";
     case Backend::Avx2: return "avx2";
     case Backend::Avx512: return "avx512";
     }
@@ -131,12 +119,6 @@ backendAvailable(Backend b)
     switch (b) {
     case Backend::Scalar:
         return true;
-    case Backend::Sse2:
-#if GIST_SIMD_HAVE_ISA
-        return cpuHasSse42();
-#else
-        return false;
-#endif
     case Backend::Avx2:
 #if GIST_SIMD_HAVE_ISA
         return cpuHasAvx2();
@@ -160,8 +142,6 @@ bestBackend()
         return Backend::Avx512;
     if (backendAvailable(Backend::Avx2))
         return Backend::Avx2;
-    if (backendAvailable(Backend::Sse2))
-        return Backend::Sse2;
     return Backend::Scalar;
 }
 
@@ -173,8 +153,6 @@ opsFor(Backend b)
         return avx512Ops();
     if (b == Backend::Avx2 && backendAvailable(Backend::Avx2))
         return avx2Ops();
-    if (b == Backend::Sse2 && backendAvailable(Backend::Sse2))
-        return sse2Ops();
 #endif
     (void)b;
     return scalarOps();
@@ -185,10 +163,6 @@ parseBackend(const char *s, Backend *out)
 {
     if (std::strcmp(s, "scalar") == 0) {
         *out = Backend::Scalar;
-        return true;
-    }
-    if (std::strcmp(s, "sse2") == 0) {
-        *out = Backend::Sse2;
         return true;
     }
     if (std::strcmp(s, "avx2") == 0) {

@@ -3,27 +3,25 @@
  * Runtime-dispatched SIMD kernel table for the codec, GEMM and
  * memory-bound layer (ReLU, max pool) hot paths.
  *
- * Four backends, each a separate translation unit compiled with its own
- * -march flags (src/simd/CMakeLists.txt):
+ * Three backends, each a separate translation unit compiled with its
+ * own -march flags (src/simd/CMakeLists.txt):
  *
  *   scalar  branchless reference (codec loops pinned unvectorized) — the
- *           bitwise source of truth the equivalence tests sweep against;
- *   sse2    the same generic kernels auto-vectorized for the x86-64
- *           SSE4.2 baseline;
+ *           bitwise source of truth the equivalence tests sweep against,
+ *           and the only path on pre-AVX2 and non-x86 hosts;
  *   avx2    hand-written 8-wide AVX2/FMA intrinsics;
  *   avx512  avx2's table with an AVX-512F GEMM block kernel.
  *
  * The active backend is chosen once at first use: the GIST_SIMD
- * environment variable (scalar | sse2 | avx2 | avx512) wins if set and
+ * environment variable (scalar | avx2 | avx512) wins if set and
  * available, else the best ISA the CPU reports (probed via
  * __builtin_cpu_supports on x86). setBackend() overrides at runtime
  * (bench/tests). The integer codec kernels and the compare/select/add
  * layer kernels (ReLU backward, max pool) are bitwise-identical across
  * backends by construction. The float GEMM kernels (axpy, gemmBlock)
  * fuse each multiply-add into one FMA on avx2 and avx512 and round the
- * product and the sum apart on scalar and sse2. So avx2 and avx512 are
- * bitwise-equal, while scalar/sse2 may differ from them in the last
- * bits.
+ * product and the sum apart on scalar. So avx2 and avx512 are
+ * bitwise-equal, while scalar may differ from them in the last bits.
  *
  * Every function pointer operates on a caller-chunked range, so
  * parallelFor call sites dispatch once per chunk, not per element.
@@ -33,7 +31,7 @@
 
 #include <cstdint>
 
-/** 1 on x86-64 / x86 targets, where the sse2, avx2 and avx512 TUs have
+/** 1 on x86-64 / x86 targets, where the avx2 and avx512 TUs have
  *  bodies. */
 #if defined(__x86_64__) || defined(_M_X64) || defined(__i386__) || \
     defined(_M_IX86)
@@ -45,8 +43,8 @@
 namespace gist::simd {
 
 /** Backends in order of strength. */
-enum class Backend { Scalar = 0, Sse2 = 1, Avx2 = 2, Avx512 = 3 };
-inline constexpr int kNumBackends = 4;
+enum class Backend { Scalar = 0, Avx2 = 1, Avx512 = 2 };
+inline constexpr int kNumBackends = 3;
 
 /** Microkernel tile: rows of a packed A panel, columns of a B strip.
  *  Shared by every backend, so all of them use one pack layout. */
@@ -174,7 +172,7 @@ const SimdOps &ops();
 /** Backend of the active table. */
 Backend activeBackend();
 
-/** Human-readable name ("scalar", "sse2", "avx2", "avx512"). */
+/** Human-readable name ("scalar", "avx2", "avx512"). */
 const char *backendName(Backend b);
 
 /** True if the backend was compiled in AND this CPU can run it. */
@@ -193,7 +191,7 @@ const SimdOps &opsFor(Backend b);
 void setBackend(Backend b);
 
 /**
- * Parse a GIST_SIMD value ("scalar" | "sse2" | "avx2" | "avx512",
+ * Parse a GIST_SIMD value ("scalar" | "avx2" | "avx512",
  * case-sensitive).
  * Returns false (leaving @p out untouched) for anything else.
  */
@@ -206,12 +204,11 @@ bool parseBackend(const char *s, Backend *out);
  */
 Backend initFromEnv();
 
-/* Per-backend tables, defined one per kernel TU. sse2Ops, avx2Ops and
- * avx512Ops exist only when their TU is compiled in (x86 and not
+/* Per-backend tables, defined one per kernel TU. avx2Ops and avx512Ops
+ * exist only when their TU is compiled in (x86 and not
  * GIST_SIMD_DISABLE). */
 const SimdOps &scalarOps();
 #if GIST_SIMD_X86 && !defined(GIST_SIMD_SCALAR_ONLY)
-const SimdOps &sse2Ops();
 const SimdOps &avx2Ops();
 const SimdOps &avx512Ops();
 #endif

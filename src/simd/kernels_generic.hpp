@@ -1,17 +1,19 @@
 /**
  * @file
- * Generic kernel bodies shared by the scalar and sse2 backend TUs.
+ * Generic kernel bodies: the scalar backend's whole table, and the
+ * max-pool scans the avx2 TU falls back to for column strides it does
+ * not hand-write.
  *
  * Included exactly once per backend translation unit with two macros
  * set:
  *
  *   GIST_KIMPL_NS     the namespace the kernels are emitted into
- *                     (kernels_scalar / kernels_sse2);
+ *                     (kernels_scalar / kernels_avx2_generic);
  *   GIST_KIMPL_NOVEC  attribute pinning codec loops unvectorized in the
  *                     scalar TU (empty elsewhere), so "scalar" stays a
- *                     true one-lane reference even at -O3 while the sse2
- *                     TU lets the compiler auto-vectorize the identical
- *                     branchless formulas.
+ *                     true one-lane reference even at -O3 while the
+ *                     avx2 TU lets the compiler auto-vectorize the
+ *                     identical branchless formulas.
  *
  * The codecs are branchless integer arithmetic from sf_codes.hpp and the
  * layer kernels (ReLU backward, max pool) only compare, select and add
@@ -196,8 +198,8 @@ axpy(std::int64_t n, float a, const float *x, float *y)
 }
 
 /** SimdOps::gemmBlock one C row at a time: a kGemmNR-float accumulator
- *  fits the vector registers of any x86 tier (a whole MR x NR tile
- *  spills under SSE), at the price of re-reading the L1-resident B
+ *  fits in registers where a whole MR x NR tile would spill, at the
+ *  price of re-reading the L1-resident B
  *  strip per row. */
 inline void
 gemmBlock(std::int64_t kc, const float *a, std::int64_t mc, const float *b,

@@ -3,14 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <stdexcept>
 
-#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "util/crc32.hpp"
 #include "util/logging.hpp"
@@ -187,7 +185,6 @@ assembleFile(const std::vector<SectionOut> &sections)
 void
 publishFile(const std::string &path, const Bytes &bytes)
 {
-    const auto t0 = std::chrono::steady_clock::now();
     const CheckpointFault fault = consumeFault();
     const std::string tmp = path + ".tmp";
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
@@ -230,14 +227,6 @@ publishFile(const std::string &path, const Bytes &bytes)
         ::fsync(dfd);
         ::close(dfd);
     }
-
-    auto &registry = obs::MetricRegistry::instance();
-    registry.counter("gist.checkpoint.bytes").add(bytes.size());
-    registry.counter("gist.checkpoint.write_ns")
-        .add(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
 }
 
 // ------------------------------------------------------------- parsing

@@ -336,10 +336,9 @@ struct CodecQueue::Impl
     bool stop = false;
     std::atomic<std::uint64_t> jitter{ 0 };
 
-    // Stall-accounting stats: plain relaxed atomics, never the obs
-    // registry (gist_obs links gist_util, so the dependency only runs
-    // the other way; the executor mirrors these per step). All writes
-    // are monotonic adds except the depth gauge and its watermark.
+    // Stall-accounting stats: plain relaxed atomics (the executor diffs
+    // them per step). All writes are monotonic adds except the depth
+    // gauge and its watermark.
     std::atomic<std::uint64_t> submitted{ 0 };
     std::atomic<std::uint64_t> completed{ 0 };
     std::atomic<std::uint64_t> queue_wait_ns{ 0 };

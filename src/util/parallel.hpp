@@ -172,11 +172,10 @@ class TaskTicket
 
 /**
  * Aggregate CodecQueue statistics, maintained with plain relaxed
- * atomics inside the queue (the util layer cannot depend on the
- * obs registry; the executor mirrors these into it per step).
- * Counters are cumulative since process start; callers diff two
- * snapshots for per-step views. `max_depth` is a watermark since the
- * last markDepth() call.
+ * atomics inside the queue. Counters are cumulative since process
+ * start; callers diff two snapshots for per-step views (the executor
+ * does so for ExecStats' codec_* fields). `max_depth` is a watermark
+ * since the last markDepth() call.
  */
 struct CodecQueueStats
 {

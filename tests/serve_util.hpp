@@ -28,7 +28,6 @@
 #include "core/gist.hpp"
 #include "fuzz_util.hpp"
 #include "graph/executor.hpp"
-#include "obs/counters.hpp"
 #include "serve/job.hpp"
 #include "train/trainer.hpp"
 #include "util/rng.hpp"
@@ -80,8 +79,7 @@ runSolo(const serve::JobSpec &spec)
     Rng rng(spec.seed);
     graph.initParams(rng);
     const BuiltSchedule schedule = buildSchedule(graph, spec.gist);
-    obs::MetricRegistry registry;
-    Executor exec(graph, &registry);
+    Executor exec(graph);
     applyToExecutor(schedule, exec);
     Trainer trainer(exec);
     TrainConfig tc;

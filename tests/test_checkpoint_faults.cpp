@@ -26,7 +26,6 @@
 #include "core/gist.hpp"
 #include "fuzz_util.hpp"
 #include "models/tiny.hpp"
-#include "obs/counters.hpp"
 #include "train/checkpoint.hpp"
 #include "util/rng.hpp"
 
@@ -186,25 +185,6 @@ TEST(CheckpointFaults, FullStateRoundTrip)
     const RngState rng_after = rngsOf(b)[0]->saveState();
     EXPECT_EQ(rng_after.state, rng_before.state);
     EXPECT_EQ(rng_after.have_spare, rng_before.have_spare);
-    std::remove(path.c_str());
-}
-
-TEST(CheckpointFaults, SaveEmitsObservabilityCounters)
-{
-    auto &registry = obs::MetricRegistry::instance();
-    const auto bytes_before =
-        registry.counter("gist.checkpoint.bytes").value();
-    const auto ns_before =
-        registry.counter("gist.checkpoint.write_ns").value();
-    Graph g = makeGraph(3);
-    TrainState st = makeState(g);
-    const auto path = tempPath("faults_counters.bin");
-    saveCheckpoint(g, st, path);
-    const auto file_size = readBytes(path).size();
-    EXPECT_EQ(registry.counter("gist.checkpoint.bytes").value(),
-              bytes_before + file_size);
-    EXPECT_GT(registry.counter("gist.checkpoint.write_ns").value(),
-              ns_before);
     std::remove(path.c_str());
 }
 

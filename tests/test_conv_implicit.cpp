@@ -124,7 +124,7 @@ expectSame(const Result &want, const Result &got, const std::string &what)
 
 /** acc + a * b as the active backend's GEMM kernel rounds it: one
  *  FMA on avx2/avx512, a rounded product then a rounded sum on the
- *  generic scalar/sse2 kernels. */
+ *  generic scalar kernels. */
 float
 madd(float acc, float a, float b)
 {

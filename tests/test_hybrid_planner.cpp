@@ -26,7 +26,6 @@
 #include "core/planner.hpp"
 #include "models/builder.hpp"
 #include "obs/calibrate.hpp"
-#include "obs/counters.hpp"
 #include "util/jsonin.hpp"
 #include "util/rng.hpp"
 
@@ -363,14 +362,9 @@ TEST(HybridPlanner, MissingShapesBumpCounterAndSplitFromCheap)
     Graph g = hazardGraph();
     const BuiltSchedule schedule =
         buildSchedule(g, GistConfig::lossless());
-    auto &counter = obs::MetricRegistry::instance().counter(
-        "gist.planner.missing_shapes");
-    const std::uint64_t before = counter.value();
     const CostEstimate est = estimateStepCost(g, schedule, table);
     EXPECT_GT(est.missing, 0);
     EXPECT_EQ(est.total(), 0.0);
-    EXPECT_EQ(counter.value(),
-              before + static_cast<std::uint64_t>(est.missing));
 }
 
 } // namespace

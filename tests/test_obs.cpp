@@ -1,9 +1,9 @@
 /**
  * @file
  * Observability tests: span tracer (disabled path, nesting across pool
- * workers, Chrome-JSON output, ring overflow), counter/gauge registry
- * (exactness under parallelFor — run under TSan in CI), and the JSONL
- * metrics sink.
+ * workers, Chrome-JSON output, ring overflow), counters and gauges
+ * (exactness under parallelFor — run under TSan in CI), the JSONL
+ * metrics sink, and per-executor ExecStats isolation.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 
 #include "core/gist.hpp"
 #include "models/builder.hpp"
+#include "models/tiny.hpp"
 #include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -188,25 +189,18 @@ TEST(Trace, RingOverflowDropsInsteadOfWrapping)
 TEST(Counters, RegistryIsExactUnderParallelFor)
 {
     setNumThreads(4);
-    auto &c = obs::MetricRegistry::instance().counter("test.obs.hits");
-    c.reset();
+    obs::Counter c;
     const std::int64_t n = 100000;
     parallelFor(0, n, 1000, [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t i = lo; i < hi; ++i)
             c.add(1);
     });
     EXPECT_EQ(c.value(), static_cast<std::uint64_t>(n));
-
-    // Same instrument comes back for the same name.
-    auto &again = obs::MetricRegistry::instance().counter("test.obs.hits");
-    EXPECT_EQ(&again, &c);
 }
 
 TEST(Counters, GaugeTracksPeak)
 {
-    auto &g = obs::MetricRegistry::instance().gauge("test.obs.level");
-    g.set(0);
-    g.resetPeak();
+    obs::Gauge g;
     g.add(100);
     g.add(50);
     g.sub(120);
@@ -224,19 +218,6 @@ TEST(Counters, GaugeTracksPeak)
         }
     });
     EXPECT_EQ(g.current(), 0);
-}
-
-TEST(Counters, SnapshotSeesRegisteredInstruments)
-{
-    obs::MetricRegistry::instance().counter("test.obs.snap").add(7);
-    bool found = false;
-    for (const auto &s : obs::MetricRegistry::instance().snapshot())
-        if (s.name == "test.obs.snap") {
-            found = true;
-            EXPECT_FALSE(s.is_gauge);
-            EXPECT_GE(s.value, 7);
-        }
-    EXPECT_TRUE(found);
 }
 
 TEST(Metrics, JsonlOneRecordPerLineWithEscaping)
@@ -277,47 +258,86 @@ TEST(Metrics, JsonlOneRecordPerLineWithEscaping)
     std::remove(path.c_str());
 }
 
-TEST(Obs, ExecutorStatsFlowThroughRegistry)
+/** Deterministic minibatch @p step for @p g's input shape. */
+Tensor
+seededBatch(const Graph &g, std::uint64_t step)
 {
-    NetBuilder net(4, 3, 8, 8);
-    net.conv(6, 3, 1, 1);
-    net.relu();
-    net.maxpool(2, 2);
-    net.conv(8, 3, 1, 1);
-    net.relu();
-    net.fc(5);
-    net.loss(5);
-    Graph g = net.take();
-    Rng rng(1);
-    g.initParams(rng);
-
-    Executor exec(g);
-    applyToExecutor(buildSchedule(g, GistConfig::lossy(DprFormat::Fp16)),
-                    exec);
-
-    auto &reg = obs::MetricRegistry::instance();
-    const std::uint64_t enc0 = reg.counter("gist.encode.bytes").value();
-    const std::uint64_t mb0 = reg.counter("gist.exec.minibatches").value();
-
     Tensor batch(g.node(0).out_shape);
-    Rng drng(2);
+    Rng drng(100 + step);
     for (std::int64_t i = 0; i < batch.numel(); ++i)
         batch.at(i) = drng.uniform(-1.0f, 1.0f);
-    std::vector<std::int32_t> labels;
-    for (std::int64_t i = 0; i < batch.shape().n(); ++i)
-        labels.push_back(static_cast<std::int32_t>(i % 5));
-    exec.runMinibatch(batch, labels);
+    return batch;
+}
 
-    const ExecStats &stats = exec.stats();
-    EXPECT_GT(stats.encoded_bytes, 0u);
-    EXPECT_GT(stats.peak_pool_bytes, 0u);
-    // The per-run stats are exactly the registry deltas.
-    EXPECT_EQ(reg.counter("gist.encode.bytes").value() - enc0,
-              stats.encoded_bytes);
-    EXPECT_EQ(reg.counter("gist.exec.minibatches").value() - mb0, 1u);
-    EXPECT_EQ(static_cast<std::uint64_t>(
-                  reg.gauge("gist.fmap_pool.bytes").peak()),
-              stats.peak_pool_bytes);
+/** The count and byte fields of ExecStats (timings excluded). */
+std::vector<std::uint64_t>
+countFields(const ExecStats &s)
+{
+    return { s.encoded_bytes,      s.dense_bytes_replaced,
+             s.peak_pool_bytes,    s.recompute_segments,
+             s.recompute_nodes,    s.recompute_dropped_bytes,
+             s.tier_evictions,     s.tier_fetches,
+             s.tier_bytes_out,     s.tier_bytes_in };
+}
+
+/** A tiny VGG with its own executor, run sync under @p cfg. */
+struct StatsRun
+{
+    Graph graph;
+    Executor exec;
+
+    explicit StatsRun(const GistConfig &cfg)
+        : graph(models::tinyVgg(16)), exec(graph)
+    {
+        Rng rng(1);
+        graph.initParams(rng);
+        applyToExecutor(buildSchedule(graph, cfg), exec);
+        exec.setAsyncCodec(false);
+    }
+
+    std::vector<std::uint64_t>
+    step(std::uint64_t i)
+    {
+        std::vector<std::int32_t> labels;
+        for (std::int64_t n = 0; n < graph.node(0).out_shape.n(); ++n)
+            labels.push_back(
+                static_cast<std::int32_t>((n + i) % models::kTinyClasses));
+        exec.runMinibatch(seededBatch(graph, i), labels);
+        return countFields(exec.stats());
+    }
+};
+
+TEST(Obs, ExecutorStatsFlowThroughRegistry)
+{
+    // Each executor owns every count it takes, so two executors
+    // stepped alternately in one process report exactly what each
+    // reports when run alone.
+    GistConfig lossless = GistConfig::lossless();
+    GistConfig capped = GistConfig::lossy(DprFormat::Fp16);
+    capped.device_pool_bytes = 256 * 1024;
+    constexpr std::uint64_t kSteps = 3;
+
+    std::vector<std::vector<std::uint64_t>> solo_a, solo_b;
+    {
+        StatsRun a(lossless);
+        for (std::uint64_t i = 0; i < kSteps; ++i)
+            solo_a.push_back(a.step(i));
+    }
+    {
+        StatsRun b(capped);
+        for (std::uint64_t i = 0; i < kSteps; ++i)
+            solo_b.push_back(b.step(i));
+    }
+    EXPECT_GT(solo_a[0][0], 0u) << "lossless run encoded nothing";
+    EXPECT_GT(solo_a[0][2], 0u) << "no pool bytes metered";
+    EXPECT_GT(solo_b[0][6], 0u) << "the 256 KiB cap evicted nothing";
+
+    StatsRun a(lossless);
+    StatsRun b(capped);
+    for (std::uint64_t i = 0; i < kSteps; ++i) {
+        EXPECT_EQ(a.step(i), solo_a[i]) << "lossless, step " << i;
+        EXPECT_EQ(b.step(i), solo_b[i]) << "fp16 capped, step " << i;
+    }
 }
 
 } // namespace

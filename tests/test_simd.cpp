@@ -8,7 +8,7 @@
  * value sweep that hits the nasty corners — denormals, ±inf,
  * NaN, ±0, RNE ties, format overflow/underflow boundaries, and spans
  * with odd tails. The float kernels (axpy, the GEMM block kernel) fuse
- * on avx2/avx512 and round apart on scalar/sse2, so across those they
+ * on avx2/avx512 and round apart on scalar, so across those they
  * get a tolerance check against a double-precision reference; avx512's
  * block kernel must equal avx2's bit for bit. The GIST_SIMD env
  * plumbing is exercised via initFromEnv().
@@ -621,19 +621,18 @@ TEST_F(SimdEquivalence, ParseBackendAcceptsExactNamesOnly)
     Backend b = Backend::Avx2;
     EXPECT_TRUE(parseBackend("scalar", &b));
     EXPECT_EQ(Backend::Scalar, b);
-    EXPECT_TRUE(parseBackend("sse2", &b));
-    EXPECT_EQ(Backend::Sse2, b);
     EXPECT_TRUE(parseBackend("avx2", &b));
     EXPECT_EQ(Backend::Avx2, b);
     EXPECT_TRUE(parseBackend("avx512", &b));
     EXPECT_EQ(Backend::Avx512, b);
 
-    b = Backend::Sse2;
+    b = Backend::Avx2;
     EXPECT_FALSE(parseBackend("", &b));
     EXPECT_FALSE(parseBackend("AVX2", &b)); // case-sensitive
     EXPECT_FALSE(parseBackend("avx512f", &b));
     EXPECT_FALSE(parseBackend("scalar ", &b));
-    EXPECT_EQ(Backend::Sse2, b); // untouched on failure
+    EXPECT_FALSE(parseBackend("sse2", &b)); // no SSE tier
+    EXPECT_EQ(Backend::Avx2, b); // untouched on failure
 }
 
 TEST_F(SimdEquivalence, SetBackendAndOpsForAgree)
