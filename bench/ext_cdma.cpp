@@ -116,7 +116,7 @@ main(int argc, char **argv)
     bench::note("naive-swap transfers inline on the main thread (its "
                 "stall is the whole transfer time; codec-join stalls "
                 "read zero in sync mode). vdnn arms overlap transfers "
-                "on codec workers with backward-order prefetch; cdma "
+                "on the link worker with backward-order prefetch; cdma "
                 "additionally CSR/DPR-compresses each eviction, so "
                 "fewer bytes cross the throttled link.");
 

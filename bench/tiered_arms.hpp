@@ -8,11 +8,14 @@
  * The arms map onto the swap strategies the paper compares:
  *  - naive swap: sync codec path — every eviction/fetch/transfer runs
  *    inline on the main thread (compute blocks on the tier).
- *  - vDNN: async codec path — transfers run on codec workers and the
- *    backward-order prefetcher fetches ahead, so only uncovered
+ *  - vDNN: async codec path — transfers run on the executor's link
+ *    worker (its own thread beside the codec workers, like a DMA
+ *    engine beside compute), and the backward pass fetches ahead in
+ *    consumption order whenever the link is idle, so only uncovered
  *    transfer time stalls compute.
  *  - compressed DMA (cDMA): vDNN whose evictions are CSR/DPR-encoded
- *    before they cross the slow link, shrinking transfer volume.
+ *    on the codec workers before they cross the slow link, shrinking
+ *    transfer volume.
  */
 
 #pragma once

@@ -34,7 +34,7 @@ namespace {
 struct RunResult
 {
     std::uint64_t peak = 0;
-    std::vector<std::pair<int, std::uint64_t>> trace;
+    std::vector<MemoryTracePoint> trace;
 };
 
 RunResult
@@ -106,16 +106,16 @@ main(int argc, char **argv)
     const auto &trace = base.trace;
     for (size_t i = 0; i < trace.size(); i += trace.size() / 12 + 1)
         std::printf("  step %3d: baseline %10s  gist %10s\n",
-                    trace[i].first,
-                    formatBytes(trace[i].second).c_str(),
-                    formatBytes(gist.trace[i].second).c_str());
+                    trace[i].step,
+                    formatBytes(trace[i].bytes).c_str(),
+                    formatBytes(gist.trace[i].bytes).c_str());
 
     if (argc > 1) {
         std::ofstream csv(argv[1]);
         csv << "step,baseline_bytes,gist_bytes\n";
         for (size_t i = 0; i < trace.size(); ++i)
-            csv << trace[i].first << ',' << trace[i].second << ','
-                << gist.trace[i].second << '\n';
+            csv << trace[i].step << ',' << trace[i].bytes << ','
+                << gist.trace[i].bytes << '\n';
         std::printf("\nwrote %zu trace rows to %s\n", trace.size(),
                     argv[1]);
     }

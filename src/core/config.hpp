@@ -121,8 +121,9 @@ struct GistConfig
      * Device feature-map pool cap in bytes (the tiered-memory engine).
      * 0 (the default) = unbounded device, no eviction. Non-zero bounds
      * the metered pool: stash slots overflowing the cap are evicted to
-     * the pool's slow tier through the codec workers and prefetched
-     * back before their backward reads (memory/device_pool.hpp). Also
+     * the pool's slow tier through the executor's link queue and
+     * fetched back before their backward reads (memory/device_pool.hpp,
+     * Executor::linkQueue()). Also
      * unlocks the planner's per-slot "swap" choice. GIST_DEVICE_POOL
      * (bytes, k/m/g suffixes) overrides it.
      */

@@ -96,6 +96,7 @@ Executor::setAsyncCodec(bool on, int workers)
         codec_queue_.setNumWorkers(std::max(1, workers));
     else
         codec_queue_.setNumWorkers(0); // inline execution (sync fallback)
+    sizeLinkQueue();
 }
 
 void
@@ -103,9 +104,20 @@ Executor::setDevicePool(std::shared_ptr<DevicePool> pool)
 {
     // Quiesce any in-flight evict/fetch against the old pool first.
     codec_queue_.drain();
+    link_queue_.drain();
     device_pool_ = std::move(pool);
     pending_evict_bytes_.store(0, std::memory_order_relaxed);
     evict_fifo_.clear();
+    link_tail_.reset();
+    sizeLinkQueue();
+}
+
+void
+Executor::sizeLinkQueue()
+{
+    // One worker: the tier serializes transfers on its one mutex anyway
+    // (one DMA channel), so a second would only queue behind it.
+    link_queue_.setNumWorkers(async_codec && device_pool_ ? 1 : 0);
 }
 
 const ScheduleInfo &
@@ -352,7 +364,7 @@ Executor::retireAfterForward(NodeId id)
                 encodeSlot(id);
             st.state = BufState::Encoded;
         }
-        submitEvict(id);
+        submitEvict(id, cur_sched_step.load(std::memory_order_relaxed));
         return;
     }
 
@@ -441,7 +453,7 @@ Executor::materialize(NodeId id)
 }
 
 void
-Executor::submitEvict(NodeId id)
+Executor::submitEvict(NodeId id, int at_step)
 {
     auto &st = states[static_cast<size_t>(id)];
     GIST_ASSERT(device_pool_ != nullptr, "evict without a device pool");
@@ -472,12 +484,14 @@ Executor::submitEvict(NodeId id)
                                    std::memory_order_relaxed);
     // The evict task waits on the slot's own encode ticket first — the
     // same earlier-submitted-only chaining that keeps decode prefetch
-    // deadlock-free at any worker count.
+    // deadlock-free at any worker count, now across the two queues.
     const TaskTicket after = st.encode_job;
-    st.evict_job = codec_queue_.submit([this, id, after] {
+    st.evict_job = link_queue_.submit([this, id, after] {
         after.wait();
         evictSlot(id);
     });
+    link_tail_ = st.evict_job;
+    st.evict_step = at_step;
     st.state = BufState::Evicted;
     evict_fifo_.push_back(id);
 }
@@ -528,10 +542,11 @@ Executor::submitFetch(NodeId id)
     if (st.state != BufState::Evicted || st.fetch_job)
         return;
     const TaskTicket after = st.evict_job; // fetch never passes its evict
-    st.fetch_job = codec_queue_.submit([this, id, after] {
+    st.fetch_job = link_queue_.submit([this, id, after] {
         after.wait();
         fetchSlot(id);
     });
+    link_tail_ = st.fetch_job;
 }
 
 /** Worker-side fetch body: bring the tier blob back onto the device. */
@@ -574,62 +589,104 @@ Executor::joinFetch(NodeId id)
     st.tier_form = TierForm::None;
 }
 
-void
+NodeId
+Executor::evictCandidate(int cur_step) const
+{
+    // The evictable stash whose backward read is furthest in the future
+    // (Belady-style, on the known schedule): stashed, past its forward
+    // reads, not yet into its backward reads, and with no tier/decode
+    // work in flight. Encode-in-flight is fine (the evict chains after
+    // it).
+    NodeId best = -1;
+    int best_read = -1;
+    const std::int64_t n = graph_.numNodes();
+    for (std::int64_t i = 0; i < n; ++i) {
+        const auto id = static_cast<NodeId>(i);
+        const auto &st = states[static_cast<size_t>(i)];
+        if (!sched->stashed(id) ||
+            st.plan.repr == StashPlan::Repr::Recompute)
+            continue;
+        if (st.state != BufState::Dense && st.state != BufState::Encoded)
+            continue;
+        if (st.evict_job || st.fetch_job || st.decode_job)
+            continue;
+        if (sched->lastFwdRead(id) > cur_step)
+            continue; // still feeding forward consumers
+        const int next_read = sched->firstBwdRead(id);
+        if (next_read <= cur_step)
+            continue; // its backward reads have begun
+        if (next_read > best_read || (next_read == best_read && id < best)) {
+            best = id;
+            best_read = next_read;
+        }
+    }
+    return best;
+}
+
+std::uint64_t
+Executor::inFlightEvictCredit(int step) const
+{
+    // The FIFO is in submission order and steps only grow within a
+    // minibatch, so this step's evicts are a suffix of it.
+    std::uint64_t credit = 0;
+    for (auto it = evict_fifo_.rbegin(); it != evict_fifo_.rend(); ++it) {
+        const auto &st = states[static_cast<size_t>(*it)];
+        if (st.evict_step != step)
+            break;
+        if (st.evict_job && !st.evict_job.ready())
+            credit += st.evict_estimate;
+    }
+    return credit;
+}
+
+MemoryTracePoint
 Executor::enforcePoolCap(int cur_step)
 {
-    if (!device_pool_ || device_pool_->cap() == 0)
-        return;
-    const auto cap = static_cast<std::int64_t>(device_pool_->cap());
-    // In-flight evicts are credited against the level so one overflow
-    // does not trigger a cascade of duplicate evictions while the
-    // workers catch up.
-    const auto level = [&] {
-        return tele.pool_bytes.current() -
-               static_cast<std::int64_t>(pending_evict_bytes_.load(
-                   std::memory_order_relaxed));
-    };
-    while (level() > cap) {
-        // Pick the evictable stash whose backward read is furthest in
-        // the future (Belady-style, on the known schedule): stashed,
-        // past its forward reads, not yet into its backward reads, and
-        // with no tier/decode work in flight. Encode-in-flight is fine
-        // (the evict chains after it).
-        NodeId best = -1;
-        int best_read = -1;
-        const std::int64_t n = graph_.numNodes();
-        for (std::int64_t i = 0; i < n; ++i) {
-            const auto id = static_cast<NodeId>(i);
-            const auto &st = states[static_cast<size_t>(i)];
-            if (!sched->stashed(id) ||
-                st.plan.repr == StashPlan::Repr::Recompute)
-                continue;
-            if (st.state != BufState::Dense &&
-                st.state != BufState::Encoded)
-                continue;
-            if (st.evict_job || st.fetch_job || st.decode_job)
-                continue;
-            if (sched->lastFwdRead(id) > cur_step)
-                continue; // still feeding forward consumers
-            const int next_read = sched->firstBwdRead(id);
-            if (next_read <= cur_step)
-                continue; // its backward reads have begun
-            if (next_read > best_read ||
-                (next_read == best_read && id < best)) {
-                best = id;
-                best_read = next_read;
-            }
-        }
-        if (best < 0)
-            break; // nothing evictable: allow the transient overshoot
-        submitEvict(best);
+    MemoryTracePoint point;
+    point.step = cur_step;
+    if (!device_pool_ || device_pool_->cap() == 0) {
+        point.bytes = static_cast<std::uint64_t>(tele.pool_bytes.current());
+        return point;
     }
-    // Hard backpressure: when the *actual* level is still above the cap
-    // the producer has outrun the tier link; block on the oldest
-    // in-flight evict (counted as a stall) instead of racing further
-    // ahead. Never waits for anything but already-submitted transfers,
-    // so this cannot deadlock; with an empty FIFO the overshoot stands
-    // (the tier is unbounded, the device cap is a target).
-    while (tele.pool_bytes.current() > cap && !evict_fifo_.empty()) {
+    const auto cap = static_cast<std::int64_t>(device_pool_->cap());
+    for (;;) {
+        // One reading of the level serves both checks below. It is
+        // taken after the credits: an evict that finishes in between
+        // has then left the level as well as the credits.
+        const std::uint64_t credit = inFlightEvictCredit(cur_step);
+        const auto pending = static_cast<std::int64_t>(
+            pending_evict_bytes_.load(std::memory_order_relaxed));
+        const std::int64_t level = tele.pool_bytes.current();
+        // In-flight evicts are credited against the level so one
+        // overflow does not trigger a cascade of duplicate evictions
+        // while the link catches up.
+        if (level - pending > cap) {
+            const NodeId victim = evictCandidate(cur_step);
+            if (victim >= 0) {
+                submitEvict(victim, cur_step);
+                continue;
+            }
+            // Nothing evictable: allow the transient overshoot.
+            point.nothing_evictable = true;
+        }
+        // Backpressure with one node of slack: the level may stand above
+        // the cap by what this step's own evicts will free, since they
+        // get the next node's compute to finish behind. Beyond that the
+        // producer has outrun the tier link, so block on the oldest
+        // in-flight evict of an earlier step (counted as a stall). Never
+        // waits for anything but already-submitted transfers, so this
+        // cannot deadlock. Once no earlier evict is left, every credited
+        // evict is this step's, so the check above already held the
+        // level to cap + credit unless nothing was evictable.
+        const bool earlier =
+            !evict_fifo_.empty() &&
+            states[static_cast<size_t>(evict_fifo_.front())].evict_step !=
+                cur_step;
+        if (level <= cap + static_cast<std::int64_t>(credit) || !earlier) {
+            point.bytes = static_cast<std::uint64_t>(level);
+            point.evict_credit = credit;
+            return point;
+        }
         const NodeId vid = evict_fifo_.front();
         evict_fifo_.pop_front();
         auto &vst = states[static_cast<size_t>(vid)];
@@ -638,6 +695,35 @@ Executor::enforcePoolCap(int cur_step)
             vst.evict_job.reset();
         }
     }
+}
+
+void
+Executor::fetchAhead()
+{
+    // Without a cap only Swap plans use the tier, and they are there to
+    // keep their slots off the device until one node before the read
+    // (the planner's peak model): draining the tier early would bring
+    // the whole swapped set back at once.
+    if (device_pool_->cap() == 0)
+        return;
+    if (link_tail_ && !link_tail_.ready())
+        return; // the link is busy; the queue keeps its order
+    NodeId next = -1;
+    int next_read = 0;
+    const std::int64_t n = graph_.numNodes();
+    for (std::int64_t i = 0; i < n; ++i) {
+        const auto id = static_cast<NodeId>(i);
+        const auto &st = states[static_cast<size_t>(i)];
+        if (st.state != BufState::Evicted || st.fetch_job)
+            continue;
+        const int read = sched->firstBwdRead(id);
+        if (next < 0 || read < next_read) {
+            next = id;
+            next_read = read;
+        }
+    }
+    if (next >= 0)
+        submitFetch(next);
 }
 
 bool
@@ -973,7 +1059,9 @@ Executor::runMinibatch(const Tensor &input,
     ++tele.minibatches;
     tele.beginStep();
     const CodecQueueStats q0 = codec_queue_.stats();
+    const CodecQueueStats l0 = link_queue_.stats();
     codec_queue_.markDepth();
+    link_queue_.markDepth();
     const TierStats tier0 =
         device_pool_ ? device_pool_->stats() : TierStats{};
     evict_fifo_.clear(); // stale ids only; all tickets joined by now
@@ -1038,10 +1126,7 @@ Executor::runMinibatch(const Tensor &input,
                 retireAfterForward(in);
         if (sched->lastFwdRead(id) == graph_.fwdStep(id))
             retireAfterForward(id);
-        enforcePoolCap(graph_.fwdStep(id));
-        memory_trace.emplace_back(
-            graph_.fwdStep(id),
-            static_cast<std::uint64_t>(tele.pool_bytes.current()));
+        memory_trace.push_back(enforcePoolCap(graph_.fwdStep(id)));
         if (memprof)
             memprofSample(graph_.fwdStep(id), id, "fwd");
     }
@@ -1079,6 +1164,8 @@ Executor::runMinibatch(const Tensor &input,
             submitDecodes(id);
             submitDecodes(codec_points.next_bwd[static_cast<size_t>(i)],
                           id);
+            if (device_pool_)
+                fetchAhead();
         }
         // Land tier-resident reads back on device first. Slots with a
         // chained decode resolve through awaitDense below; the rest
@@ -1178,9 +1265,7 @@ Executor::runMinibatch(const Tensor &input,
                 releaseStash(in);
         if (sched->stashed(id) && sched->lastBwdRead(id) == step)
             releaseStash(id);
-        enforcePoolCap(step);
-        memory_trace.emplace_back(
-            step, static_cast<std::uint64_t>(tele.pool_bytes.current()));
+        memory_trace.push_back(enforcePoolCap(step));
         if (memprof)
             memprofSample(step, id, "bwd");
     }
@@ -1203,13 +1288,16 @@ Executor::runMinibatch(const Tensor &input,
     cur_input_ = nullptr;
 
     // Stall accounting: the stall counters (bumped by joinTicket) and
-    // per-step deltas of the CodecQueue's own per-ticket stats.
+    // per-step deltas of both queues' own per-ticket stats.
     const CodecQueueStats q1 = codec_queue_.stats();
+    const CodecQueueStats l1 = link_queue_.stats();
     last_stats.codec_stall_ns = tele.codec_stall_ns.value();
     last_stats.codec_stalls = tele.codec_stalls.value();
-    last_stats.codec_queue_wait_ns = q1.queue_wait_ns - q0.queue_wait_ns;
-    last_stats.codec_run_ns = q1.run_ns - q0.run_ns;
-    last_stats.codec_queue_peak_depth = q1.max_depth;
+    last_stats.codec_queue_wait_ns = q1.queue_wait_ns - q0.queue_wait_ns +
+                                     l1.queue_wait_ns - l0.queue_wait_ns;
+    last_stats.codec_run_ns =
+        q1.run_ns - q0.run_ns + l1.run_ns - l0.run_ns;
+    last_stats.codec_queue_peak_depth = std::max(q1.max_depth, l1.max_depth);
     if (last_stats.codec_run_ns > 0) {
         const double stall = static_cast<double>(
             std::min(last_stats.codec_stall_ns, last_stats.codec_run_ns));

@@ -95,9 +95,11 @@ struct ExecStats
     /**
      * Async-pipeline stall accounting (all zero in sync mode, where
      * codec work never goes through tickets). A "stall" is the main
-     * thread blocking on a codec ticket that was not ready — the
-     * serialized share of codec time. Queue wait / run time are the
-     * CodecQueue's own per-ticket deltas for this minibatch.
+     * thread blocking on a codec or tier ticket that was not ready —
+     * the serialized share of codec and transfer time. Queue wait / run
+     * time are the per-ticket deltas for this minibatch, summed over the
+     * codec queue and the tier link queue; the peak depth is the deeper
+     * of the two.
      */
     std::uint64_t codec_stall_ns = 0;   ///< main-thread block time
     std::uint64_t codec_stalls = 0;     ///< number of blocking joins
@@ -126,7 +128,7 @@ struct ExecStats
      * Tiered-memory accounting (all zero without a DevicePool): slot
      * evictions to / fetches from the slow tier this minibatch, the
      * transferred bytes, and the wall time the transfers took on the
-     * codec workers (overlapped with compute in async mode, on the
+     * link worker (overlapped with compute in async mode, on the
      * critical path in sync mode).
      */
     std::uint64_t tier_evictions = 0;
@@ -135,6 +137,25 @@ struct ExecStats
     std::uint64_t tier_bytes_in = 0;  ///< tier -> device
     std::uint64_t tier_write_ns = 0;
     std::uint64_t tier_read_ns = 0;
+};
+
+/**
+ * One memoryTrace() entry: the feature-map-pool level after a schedule
+ * step. With a capped DevicePool the level is the one the step's cap
+ * check read last, next to what that check allowed for: a step may
+ * leave the level above the cap by the bytes its own evicts still have
+ * in flight (they get the next node's compute to hide behind), or by
+ * more only when nothing was left to evict.
+ */
+struct MemoryTracePoint
+{
+    int step = 0;
+    std::uint64_t bytes = 0; ///< resident pool bytes
+    /** Device bytes credited to evicts submitted at this step and
+     *  still in flight when the level was read. */
+    std::uint64_t evict_credit = 0;
+    /** The cap check found no evictable stash while over the cap. */
+    bool nothing_evictable = false;
 };
 
 /** Executes forward/backward minibatches over a Graph. */
@@ -188,7 +209,8 @@ class Executor
      * via GistConfig::async_codec / GIST_ASYNC.
      *
      * @p workers sizes this executor's codec queue (clamped to >= 1
-     * when @p on).
+     * when @p on). With a device pool attached, async mode also starts
+     * the one link worker (see linkQueue()).
      */
     void setAsyncCodec(bool on, int workers = 1);
 
@@ -204,9 +226,20 @@ class Executor
     CodecQueue &codecQueue() { return codec_queue_; }
 
     /**
+     * This executor's tier link: the queue that runs every evict
+     * (serialize + store) and fetch (fetch + deserialize), so transfers
+     * never wait behind an encode or decode and vice versa. It has one
+     * worker in async mode with a device pool attached (one transfer
+     * at a time, like one DMA channel) and none otherwise (transfers
+     * run inline). Tasks on either queue wait only on tickets submitted
+     * earlier by the main thread, which keeps the pair deadlock-free.
+     */
+    CodecQueue &linkQueue() { return link_queue_; }
+
+    /**
      * Attach a bounded device pool + slow tier. With pool->cap() > 0,
      * stash slots overflowing the cap are evicted to the tier through
-     * the codec queue after their last forward read and prefetched back
+     * the link queue after their last forward read and fetched back
      * ahead of their backward reads; Repr::Swap plans always route
      * through the tier. Evicted contents round-trip bit-exactly, so
      * results are bitwise-identical to an unbounded run. nullptr
@@ -224,10 +257,10 @@ class Executor
 
     /**
      * Resident feature-map-pool bytes after every schedule step of the
-     * last minibatch (entries: step index, bytes) — the executor-side
-     * counterpart of the planner's liveness sweep.
+     * last minibatch — the executor-side counterpart of the planner's
+     * liveness sweep.
      */
-    const std::vector<std::pair<int, std::uint64_t>> &
+    const std::vector<MemoryTracePoint> &
     memoryTrace() const
     {
         return memory_trace;
@@ -273,8 +306,8 @@ class Executor
   private:
     /**
      * Evicted = the slot's contents live in the DevicePool tier (an
-     * evict was *submitted*; the transfer may still be in flight on a
-     * codec worker). tier_form records what was shipped.
+     * evict was *submitted*; the transfer may still be in flight on the
+     * link worker). tier_form records what was shipped.
      */
     enum class BufState { Empty, Dense, Encoded, Evicted };
 
@@ -292,12 +325,13 @@ class Executor
         /**
          * Async pipeline tickets. BufState stays the main thread's
          * authoritative view (Encoded = encode *submitted*); a non-empty
-         * ticket means a codec worker may still own the slot's buffers,
-         * so the main thread joins the ticket before touching them.
-         * The tier tickets chain FIFO per slot: evict waits on encode,
-         * fetch waits on evict, decode waits on fetch — each captured
-         * at submission, so every task only waits on earlier-submitted
-         * tickets and the queue stays deadlock-free at any worker count.
+         * ticket means a worker may still own the slot's buffers, so
+         * the main thread joins the ticket before touching them.
+         * The tier tickets chain per slot across the two queues: evict
+         * (link) waits on encode (codec), fetch (link) waits on evict,
+         * decode (codec) waits on fetch — each captured at submission,
+         * so every task only waits on earlier-submitted tickets and the
+         * queues stay deadlock-free at any codec worker count.
          */
         TaskTicket encode_job;
         TaskTicket decode_job;
@@ -313,6 +347,8 @@ class Executor
         /** Device bytes an in-flight evict will free (credit against
          *  the pool gauge until the worker finishes the transfer). */
         std::uint64_t evict_estimate = 0;
+        /** Schedule step whose cap check submitted the last evict. */
+        int evict_step = -1;
         double sparsity = -1.0;
         double csr_ratio = -1.0;
         double fwd_seconds = 0.0;
@@ -344,31 +380,54 @@ class Executor
     void encodeSlot(NodeId id);
     void decodeSlot(NodeId id);
 
+    /** One link worker iff async with a device pool, else inline. */
+    void sizeLinkQueue();
+
     /**
      * Tier path (all submissions on the main thread). submitEvict moves
-     * a Dense or Encoded slot into the tier through the codec queue
-     * (chained after any in-flight encode) and flips it to Evicted;
-     * submitFetch chains the transfer back after the evict;
-     * joinFetch blocks until the blob is back on "device" and restores
-     * Dense/Encoded. evictSlot/fetchSlot are the worker-side bodies.
+     * a Dense or Encoded slot into the tier through the link queue
+     * (chained after any in-flight encode), flips it to Evicted and
+     * records @p at_step as the step that submitted it; submitFetch
+     * chains the transfer back after the evict; joinFetch blocks until
+     * the blob is back on "device" and restores Dense/Encoded.
+     * evictSlot/fetchSlot are the worker-side bodies.
      */
-    void submitEvict(NodeId id);
+    void submitEvict(NodeId id, int at_step);
     void submitFetch(NodeId id);
     void joinFetch(NodeId id);
     void evictSlot(NodeId id);
     void fetchSlot(NodeId id);
 
     /**
+     * Link-idle fetch-ahead (backward, async, capped pool): when no
+     * transfer is queued or running on the link, start the fetch of the
+     * evicted slot with the earliest first backward read, so the link
+     * drains the tier in consumption order without waiting for the
+     * one-node decode prefetch to ask for it. Link occupancy bounds it:
+     * at most one transfer is started per backward node, and only onto
+     * an idle link.
+     */
+    void fetchAhead();
+
+    /** The evictable stash with the furthest next read, or -1. */
+    NodeId evictCandidate(int cur_step) const;
+    /** Bytes credited to step @p step's evicts still in flight. */
+    std::uint64_t inFlightEvictCredit(int step) const;
+
+    /**
      * Overflow control, called at schedule-step boundaries: while the
      * metered pool level (minus bytes already credited to in-flight
      * evicts) exceeds the cap, pick the evictable stash with the
-     * furthest next read and submit its eviction; if the level still
-     * exceeds the cap hard-join the oldest in-flight evict
-     * (backpressure). Never blocks waiting for space only the caller
+     * furthest next read and submit its eviction. Backpressure then
+     * joins the oldest in-flight evict while the level exceeds the cap
+     * by more than this step's own in-flight evict credit, so an evict
+     * hides behind one node of compute and only earlier steps' evicts
+     * are waited on. Never blocks waiting for space only the caller
      * could free — when nothing is evictable the overshoot is allowed,
-     * which is what keeps the loop deadlock-free.
+     * which is what keeps the loop deadlock-free. Returns the trace
+     * point for @p cur_step.
      */
-    void enforcePoolCap(int cur_step);
+    MemoryTracePoint enforcePoolCap(int cur_step);
 
     /**
      * Submit decode prefetches for @p consumer's dense stash reads,
@@ -465,7 +524,7 @@ class Executor
 
     /** Does @p consumer read its encoded inputs tile-by-tile? */
     bool chunkedReader(NodeId consumer) const;
-    std::vector<std::pair<int, std::uint64_t>> memory_trace;
+    std::vector<MemoryTracePoint> memory_trace;
     ExecStats last_stats;
     Telemetry tele;
 
@@ -477,6 +536,9 @@ class Executor
     /** Submission-ordered ids with an outstanding evict ticket — the
      *  backpressure join order (main thread only). */
     std::deque<NodeId> evict_fifo_;
+    /** The last task submitted to the link queue: when it is done the
+     *  link is idle (one worker, FIFO). Main thread only. */
+    TaskTicket link_tail_;
 
     /**
      * Memory-profiler scratch (only touched when memprofEnabled()).
@@ -497,11 +559,13 @@ class Executor
     std::vector<obs::MemProfSample> mp_samples; ///< main thread only
 
     /**
-     * The executor's own codec queue. Declared last so it is destroyed
-     * first: its destructor drains every in-flight encode/evict/fetch/
-     * decode task while the node states those tasks touch are still
-     * alive.
+     * The executor's own codec queue and tier link. Declared last so
+     * they are destroyed first: each destructor drains its in-flight
+     * tasks while the node states those tasks touch are still alive.
+     * The codec queue goes first; its decodes may wait on fetches, and
+     * the link queue is still running them.
      */
+    CodecQueue link_queue_{ CodecQueue::Role::Link };
     CodecQueue codec_queue_;
 };
 

@@ -9,7 +9,9 @@
  *
  *  - MemoryTierStore: blobs live in host vectors. An optional
  *    bytes-per-second throttle emulates a slow link (PCIe-class) by
- *    sleeping each transfer to the configured bandwidth; transfers are
+ *    sleeping each transfer to the configured bandwidth (the sleeping
+ *    thread's timer slack is cut to 1 ns, so short sleeps wake on time
+ *    and the link delivers that bandwidth); transfers are
  *    serialized on one mutex on purpose — a single DMA channel, so two
  *    concurrent evictions queue behind each other exactly like they
  *    would on one PCIe stream. Throttle 0 makes round trips plain
@@ -18,10 +20,10 @@
  *    "train a model bigger than memory" configuration. Any I/O failure
  *    (unwritable directory, short write, missing blob) throws
  *    std::runtime_error with the failing path, which propagates through
- *    the codec ticket to the training loop as a clean error.
+ *    the transfer's ticket to the training loop as a clean error.
  *
- * Both stores are thread-safe: codec workers evict and fetch different
- * slots concurrently.
+ * Both stores are thread-safe: an executor's link worker stores and
+ * fetches while its main thread erases released slots.
  */
 
 #pragma once

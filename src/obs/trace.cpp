@@ -289,6 +289,9 @@ traceWrite(const std::string &path)
             if (buf->worker_index > 0)
                 std::snprintf(tname, sizeof(tname), "pool worker %d",
                               buf->worker_index);
+            else if (buf->worker_index <= -kLinkWorkerIndexBase)
+                std::snprintf(tname, sizeof(tname), "link worker %d",
+                              -buf->worker_index - kLinkWorkerIndexBase);
             else if (buf->worker_index < 0)
                 std::snprintf(tname, sizeof(tname), "codec worker %d",
                               -buf->worker_index);

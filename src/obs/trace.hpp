@@ -90,7 +90,7 @@ struct TraceEventData
     std::uint64_t ts_ns = 0;
     std::uint64_t dur_ns = 0;
     int tid = 0;          ///< buffer registration order (trace row id)
-    int worker_index = 0; ///< pool worker index, 0 = caller/external
+    int worker_index = 0; ///< gist::currentWorkerIndex() of the thread
 };
 
 /** Snapshot of every committed event, sorted by start timestamp. */

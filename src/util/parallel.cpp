@@ -327,6 +327,8 @@ struct CodecQueue::Impl
         std::uint64_t enqueue_ns = 0; ///< stamp for queue-wait stats
     };
 
+    /** Worker i's index is -(index_base + i); see currentWorkerIndex. */
+    int index_base = 0;
     std::mutex mu;                 ///< guards queue / in_flight / stop
     std::condition_variable wake;  ///< workers sleep here
     std::condition_variable idle;  ///< drain() sleeps here
@@ -409,9 +411,10 @@ struct CodecQueue::Impl
         // Mark the thread as a worker so nested parallelFor from codec
         // kernels runs inline (bitwise-identical by the static chunking
         // contract, and free of pool-mutex contention); the negative
-        // index gives the trace layer a distinct "codec worker" row.
+        // index gives the trace layer a distinct "codec worker" (or
+        // "link worker") row.
         tls_in_worker = true;
-        tls_worker_index = -spawn_index;
+        tls_worker_index = -(index_base + spawn_index);
         for (;;) {
             Task task;
             {
@@ -466,7 +469,10 @@ struct CodecQueue::Impl
     }
 };
 
-CodecQueue::CodecQueue() : impl_(new Impl) {}
+CodecQueue::CodecQueue(Role role) : impl_(new Impl)
+{
+    impl_->index_base = role == Role::Link ? kLinkWorkerIndexBase : 0;
+}
 
 CodecQueue::~CodecQueue()
 {

@@ -91,12 +91,16 @@ int numThreads();
  * Dense index of the calling thread within the persistent pool: pool
  * workers return their spawn index (1 .. numThreads()-1, stable for the
  * worker's lifetime); codec-queue workers return a negative index
- * (-1 .. -numWorkers(), stable likewise); the parallelFor caller and
- * any thread outside both pools return 0. The tracing layer (src/obs/)
+ * (-1 .. -numWorkers(), stable likewise), link-queue workers
+ * -(kLinkWorkerIndexBase + 1) and below; the parallelFor caller and
+ * any thread outside all pools return 0. The tracing layer (src/obs/)
  * registers its per-thread buffers with this index so every worker gets
  * a stable, named display row in the trace.
  */
 int currentWorkerIndex();
+
+/** Offset that sets link-queue workers' indices apart (see above). */
+inline constexpr int kLinkWorkerIndexBase = 1000;
 
 /**
  * Run fn over [begin, end) in chunks of at most @p grain iterations,
@@ -212,11 +216,18 @@ struct CodecQueueStats
  * never share workers, stall accounting, or jitter state. Destroying a
  * queue drains every submitted task first, so owners must declare it
  * after (destroy it before) any state its tasks touch.
+ *
+ * The same class runs the executor's tier link (Role::Link): a queue
+ * of slow-tier transfers beside the codec queue, whose workers take
+ * their own trace rows ("link worker N").
  */
 class CodecQueue
 {
   public:
-    CodecQueue();
+    /** What the queue's workers run (selects their worker index). */
+    enum class Role { Codec, Link };
+
+    explicit CodecQueue(Role role = Role::Codec);
     ~CodecQueue();
 
     CodecQueue(const CodecQueue &) = delete;

@@ -292,13 +292,13 @@ TEST(MemoryTrace, CoversEveryScheduleStepAndEndsEmpty)
               2 * g.numNodes() - inputs);
     // The peak the meter reports appears in (or above) the trace...
     std::uint64_t max_in_trace = 0;
-    for (const auto &[step, bytes] : trace)
-        max_in_trace = std::max(max_in_trace, bytes);
+    for (const MemoryTracePoint &point : trace)
+        max_in_trace = std::max(max_in_trace, point.bytes);
     EXPECT_LE(max_in_trace, exec.stats().peak_pool_bytes);
     EXPECT_GT(max_in_trace, 0u);
     // ...and at the end of the minibatch nearly everything is released
     // (the loss layer keeps its tiny probability stash).
-    EXPECT_LT(trace.back().second, exec.stats().peak_pool_bytes / 10);
+    EXPECT_LT(trace.back().bytes, exec.stats().peak_pool_bytes / 10);
 }
 
 } // namespace

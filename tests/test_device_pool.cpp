@@ -2,9 +2,10 @@
  * @file
  * Tiered-memory engine tests: TierStore round trips and throttling,
  * DevicePool-capped execution vs the unbounded run (bitwise, sync and
- * async x jitter), swap-all plans, slow-tier failure surfacing,
- * checkpoint resume with the tier active, and the hybrid planner's
- * budget sweep with Swap eligible.
+ * async x jitter on the codec and link queues), the cap's one-node
+ * slack contract, transfers on the link worker, swap-all plans,
+ * slow-tier failure surfacing, checkpoint resume with the tier active,
+ * and the hybrid planner's budget sweep with Swap eligible.
  *
  * The load-bearing property is the tentpole guarantee: a model whose
  * working set exceeds the device cap trains bit-identically to the
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -21,6 +23,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/gist.hpp"
@@ -28,7 +31,9 @@
 #include "memory/tier.hpp"
 #include "models/builder.hpp"
 #include "models/tiny.hpp"
+#include "obs/trace.hpp"
 #include "train/trainer.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace gist {
@@ -105,12 +110,15 @@ struct RunResult
     std::uint64_t tier_bytes_out = 0;
     std::uint64_t tier_bytes_in = 0;
     std::uint64_t tier_resident_after = 0;
+    /** Every step's forward memoryTrace() points. */
+    std::vector<MemoryTracePoint> fwd_trace;
 };
 
 /**
  * Train @p steps identical minibatches; optionally attach a DevicePool
  * and/or force every (non-binarized) stash slot to Repr::Swap. Jitter
- * is set for async arms and cleared on return.
+ * is set on the codec and link queues for async arms and cleared on
+ * return.
  */
 RunResult
 runSteps(Graph &&g, std::uint64_t seed, const GistConfig &cfg,
@@ -138,6 +146,9 @@ runSteps(Graph &&g, std::uint64_t seed, const GistConfig &cfg,
         exec.setDevicePool(std::make_shared<DevicePool>(pc));
     }
     exec.codecQueue().setJitter(async ? jitter_seed : 0);
+    exec.linkQueue().setJitter(async && jitter_seed != 0
+                                   ? jitter_seed ^ 0x5bd1e995
+                                   : 0);
     exec.setAsyncCodec(async, workers);
 
     RunResult result;
@@ -154,6 +165,9 @@ runSteps(Graph &&g, std::uint64_t seed, const GistConfig &cfg,
         result.tier_fetches += st.tier_fetches;
         result.tier_bytes_out += st.tier_bytes_out;
         result.tier_bytes_in += st.tier_bytes_in;
+        for (const MemoryTracePoint &point : exec.memoryTrace())
+            if (point.step < g.numNodes())
+                result.fwd_trace.push_back(point);
     }
     for (auto &node : g.nodes())
         if (node.layer)
@@ -163,6 +177,7 @@ runSteps(Graph &&g, std::uint64_t seed, const GistConfig &cfg,
     if (exec.devicePool())
         result.tier_resident_after = exec.devicePool()->residentBytes();
     exec.codecQueue().setJitter(0);
+    exec.linkQueue().setJitter(0);
     return result;
 }
 
@@ -230,6 +245,38 @@ TEST(TierStore, MemoryTierThrottlePacesTransfers)
     EXPECT_GE(tier->stats().write_ns + tier->stats().read_ns, 80000000u);
 }
 
+TEST(TierStore, MemoryTierThrottleHoldsRateOnSmallTransfers)
+{
+    // Short transfers are where a sleeping throttle loses bandwidth:
+    // each 64 KiB store at 1 GB/s sleeps ~65 us. Only the lower bound
+    // is asserted (the link never runs faster than configured); how
+    // close it comes to the rate depends on the host's timers, so the
+    // effective rate is reported, not checked.
+    constexpr double kBps = 1e9;
+    constexpr int kTransfers = 64;
+    auto tier = makeMemoryTier(kBps);
+    std::vector<std::uint8_t> blob(64 << 10, 0x5a);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kTransfers; ++i)
+        tier->store(i, blob.data(), blob.size());
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      t0)
+            .count();
+    const double ideal =
+        static_cast<double>(kTransfers) * static_cast<double>(blob.size()) /
+        kBps;
+    EXPECT_GE(secs, ideal) << "throttle moved bytes faster than its rate";
+    const TierStats st = tier->stats();
+    ASSERT_GT(st.write_ns, 0u);
+    EXPECT_EQ(st.bytes_out,
+              static_cast<std::uint64_t>(kTransfers) * blob.size());
+    const double gbps =
+        static_cast<double>(st.bytes_out) / static_cast<double>(st.write_ns);
+    std::printf("effective throttled rate: %.3f GB/s (configured %.3f)\n",
+                gbps, kBps * 1e-9);
+}
+
 TEST(TierStore, FileTierUnusableDirectoryThrows)
 {
     // mkdir under a plain file cannot succeed, even for root.
@@ -284,8 +331,9 @@ TEST(DevicePool, TinyCapWithJitterStaysBitwiseAndAlive)
 {
     // A near-zero cap forces eviction of every candidate the moment it
     // retires and fetch-back right before use — maximal overlap of the
-    // evict/fetch FIFO chains under one starved worker with yield
-    // jitter. Deadlock would show as a ctest timeout.
+    // encode -> evict -> fetch -> decode chains across the codec and
+    // link queues, with one starved codec worker and yield jitter on
+    // both queues. Deadlock would show as a ctest timeout.
     for (std::uint64_t seed = 31; seed < 34; ++seed) {
         const auto plain = runSteps(randomGraph(seed), seed,
                                     GistConfig::lossless(), {}, false, 0,
@@ -302,6 +350,210 @@ TEST(DevicePool, TinyCapWithJitterStaysBitwiseAndAlive)
         for (const float loss : tiny.losses)
             EXPECT_TRUE(std::isfinite(loss)) << "seed=" << seed;
     }
+}
+
+TEST(DevicePool, LinkJitterStressStaysBitwise)
+{
+    // Starved-worker stress across the two queues: one codec worker,
+    // the link worker, seeded yield jitter on both, caps from 1 byte
+    // (everything evictable goes) to 0.3x the unbounded peak (the
+    // one-node slack in play). Evicts wait on encodes and decodes on
+    // fetches across the queues; a cross-queue deadlock shows as a
+    // ctest timeout, a reordering as a mismatch against the uncapped
+    // sync run. Odd seeds run lossy FP16 (DPR), even ones lossless.
+    for (std::uint64_t seed = 41; seed < 45; ++seed) {
+        const GistConfig cfg = seed % 2 ? GistConfig::lossy(DprFormat::Fp16)
+                                        : GistConfig::lossless();
+        const auto plain =
+            runSteps(randomGraph(seed), seed, cfg, {}, false, 0, 0);
+        for (const std::uint64_t cap :
+             { std::uint64_t{ 1 }, plain.peak_bytes * 3 / 10 }) {
+            PoolSpec pool;
+            pool.attach = true;
+            pool.cap = cap;
+            const auto capped = runSteps(randomGraph(seed), seed, cfg,
+                                         pool, true, 1, seed * 131 + cap);
+            EXPECT_GT(capped.tier_evictions, 0u)
+                << "seed=" << seed << " cap=" << cap;
+            EXPECT_EQ(plain.losses, capped.losses)
+                << "seed=" << seed << " cap=" << cap;
+            EXPECT_EQ(plain.grads, capped.grads)
+                << "seed=" << seed << " cap=" << cap;
+            EXPECT_EQ(capped.tier_resident_after, 0u)
+                << "seed=" << seed << " cap=" << cap;
+        }
+    }
+}
+
+TEST(DevicePool, CapHoldsWithinOneNodeOfEvictCredit)
+{
+    // The enforcement contract behind pipelined eviction: after every
+    // forward node the level is at most the cap plus what that node's
+    // own evicts still have in flight (they hide behind the next
+    // node's compute), unless nothing was left to evict. Checked on
+    // async capped runs under jitter, where evicts really are in
+    // flight when the node ends.
+    //
+    // The measured peak of the same capped runs stays what it was
+    // before evicts were pipelined. Async peaks move from run to run
+    // with codec and link timing (an encode's transient, an evict
+    // landing a node later), so the pin is on the sync runs, whose
+    // transfers finish inline: these are the peaks the executor
+    // measured with every evict waited on at once.
+    const std::uint64_t kSyncCappedPeak[] = { 133216, 59047, 99840,
+                                              196608 };
+    int points = 0;
+    int over_cap_on_credit = 0;
+    for (std::uint64_t seed = 51; seed < 55; ++seed) {
+        const GistConfig cfg = GistConfig::lossless();
+        const auto plain =
+            runSteps(randomGraph(seed), seed, cfg, {}, false, 0, 0);
+        PoolSpec pool;
+        pool.attach = true;
+        pool.cap = plain.peak_bytes * 3 / 10;
+        const auto sync =
+            runSteps(randomGraph(seed), seed, cfg, pool, false, 0, 0);
+        EXPECT_EQ(sync.peak_bytes, kSyncCappedPeak[seed - 51])
+            << "seed=" << seed;
+        EXPECT_EQ(plain.losses, sync.losses) << "seed=" << seed;
+        const auto capped = runSteps(randomGraph(seed), seed, cfg, pool,
+                                     true, 1, seed * 3 + 1);
+        ASSERT_GT(capped.tier_evictions, 0u) << "seed=" << seed;
+        ASSERT_FALSE(capped.fwd_trace.empty());
+        for (const MemoryTracePoint &p : capped.fwd_trace) {
+            ++points;
+            EXPECT_TRUE(p.bytes <= pool.cap + p.evict_credit ||
+                        p.nothing_evictable)
+                << "seed=" << seed << " step=" << p.step
+                << " level=" << p.bytes << " cap=" << pool.cap
+                << " credit=" << p.evict_credit;
+            over_cap_on_credit +=
+                p.bytes > pool.cap && p.bytes <= pool.cap + p.evict_credit;
+        }
+        EXPECT_EQ(plain.losses, capped.losses) << "seed=" << seed;
+    }
+    EXPECT_GT(points, 0);
+    std::printf("%d forward points, %d above the cap within their own "
+                "evict credit\n",
+                points, over_cap_on_credit);
+}
+
+TEST(DevicePool, TieredInceptionPeakHoldsUnderPipelinedEviction)
+{
+    // perfbench's inception-tiered workload: tiny Inception, batch 32,
+    // lossy FP16, async with one codec worker, a 384 KiB device pool
+    // over a 1 GB/s memory tier, with its seed-5 data and init. Its
+    // measured peak was 1212416 B at most while every evict was waited
+    // on at once; the one-node slack and link-idle fetch-ahead lift the
+    // level between cap checks but must not lift that peak.
+    constexpr std::uint64_t kSeed = 5;
+    SyntheticDataset::Spec spec;
+    spec.num_train = 1024;
+    spec.num_eval = 0;
+    spec.classes = models::kTinyClasses;
+    spec.channels = models::kTinyChannels;
+    spec.image = models::kTinyImage;
+    spec.seed = kSeed;
+    const SyntheticDataset data(spec);
+    GistConfig cfg = GistConfig::lossy(DprFormat::Fp16);
+    cfg.async_codec = true;
+    cfg.codec_threads = 1;
+    cfg.device_pool_bytes = 393216;
+    cfg.tier_bandwidth_bytes_per_s = 1e9;
+    Graph g = models::tinyInception(32);
+    Rng rng(kSeed * 0x9e3779b97f4a7c15ULL + 17);
+    g.initParams(rng);
+    Executor exec(g);
+    applyToExecutor(buildSchedule(g, cfg), exec);
+    ASSERT_NE(exec.devicePool(), nullptr);
+    Trainer trainer(exec);
+    TrainConfig tc;
+    tc.batch_size = 32;
+    tc.epochs = 1;
+    tc.learning_rate = 0.02f;
+    tc.clip_grad_norm = 5.0f;
+    TrainLoop loop(trainer, data, tc);
+    std::uint64_t evictions = 0;
+    for (int s = 0; s < 8 && loop.step(); ++s) {
+        EXPECT_LE(exec.stats().peak_pool_bytes, 1212416u) << "step " << s;
+        evictions += exec.stats().tier_evictions;
+    }
+    EXPECT_GT(evictions, 0u);
+}
+
+TEST(DevicePool, TierTransfersRunOnTheLinkWorker)
+{
+    // Every evict and fetch runs on the link worker (its own trace row,
+    // index <= -kLinkWorkerIndexBase), never on a codec worker: checked
+    // on a capped lossless run (overflow evicts) and on a compressed
+    // swap-all run (Swap evicts chained after their encodes). The swap
+    // run has no cap, so nothing holds the forward back, and its slow
+    // link makes each evict outlast the next slots' encodes: on >= 2
+    // cores some encode runs on a codec worker while an evict is on the
+    // link — the overlap the separate link exists for.
+    const std::uint64_t seed = 23;
+    const auto plain = runSteps(randomGraph(seed), seed,
+                                GistConfig::lossless(), {}, false, 0, 0);
+    PoolSpec capped_pool;
+    capped_pool.attach = true;
+    capped_pool.cap = plain.peak_bytes * 3 / 10;
+    GistConfig swap_cfg = GistConfig::baseline();
+    swap_cfg.ssdc = true; // CSR-compressed swaps of the ReLU->conv slots
+    PoolSpec slow_link;
+    slow_link.attach = true;
+    slow_link.bps = 20e6;
+    obs::traceStart(""); // memory-only
+    const auto capped = runSteps(randomGraph(seed), seed,
+                                 GistConfig::lossless(), capped_pool, true,
+                                 2, 0);
+    const auto swapped = runSteps(randomGraph(seed), seed, swap_cfg,
+                                  slow_link, true, 2, 0, 2,
+                                  /*swap_all=*/true);
+    obs::traceStop();
+    const auto events = obs::traceCollect();
+    obs::traceReset();
+    ASSERT_GT(capped.tier_evictions, 0u);
+    ASSERT_GT(swapped.tier_evictions, 0u);
+    EXPECT_EQ(plain.losses, capped.losses);
+    // CSR swaps are lossless, so the swap run's two steps match the
+    // plain run's first two.
+    EXPECT_EQ(std::vector<float>(plain.losses.begin(),
+                                 plain.losses.begin() + 2),
+              swapped.losses);
+
+    int on_link = 0;
+    int elsewhere = 0;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> evicts;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> encodes;
+    for (const auto &e : events) {
+        if (e.cat == "evict" || e.cat == "fetch") {
+            if (e.worker_index <= -kLinkWorkerIndexBase)
+                ++on_link;
+            else
+                ++elsewhere;
+            if (e.cat == "evict")
+                evicts.emplace_back(e.ts_ns, e.ts_ns + e.dur_ns);
+        } else if (e.cat == "encode" && e.worker_index < 0 &&
+                   e.worker_index > -kLinkWorkerIndexBase) {
+            encodes.emplace_back(e.ts_ns, e.ts_ns + e.dur_ns);
+        }
+    }
+    EXPECT_GT(on_link, 0) << "no evict/fetch span on the link worker";
+    EXPECT_EQ(elsewhere, 0)
+        << "evict/fetch spans ran off the link worker";
+    ASSERT_FALSE(encodes.empty()) << "no encode ran on a codec worker";
+
+    if (std::thread::hardware_concurrency() < 2)
+        GTEST_SKIP() << "single core: overlap not guaranteed";
+    const bool overlapped =
+        std::any_of(encodes.begin(), encodes.end(), [&](const auto &c) {
+            return std::any_of(
+                evicts.begin(), evicts.end(), [&](const auto &v) {
+                    return c.first < v.second && v.first < c.second;
+                });
+        });
+    EXPECT_TRUE(overlapped)
+        << "no encode span overlapped an evict span in the trace";
 }
 
 TEST(DevicePool, SwapAllPlanMatchesDenseBaselineBitwise)
