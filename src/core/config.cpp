@@ -47,9 +47,6 @@ resolveConfig(GistConfig config)
         config.mem_budget_bytes = parseByteSize(env);
     if (const char *env = std::getenv("GIST_DEVICE_POOL"))
         config.device_pool_bytes = parseByteSize(env);
-    if (config.calibration_path.empty())
-        if (const char *env = std::getenv("GIST_CALIBRATION"))
-            config.calibration_path = env;
     if (const char *env = std::getenv("GIST_TIER_PATH"))
         config.tier_path = env;
     if (const char *env = std::getenv("GIST_TIER_GBPS"))

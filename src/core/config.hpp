@@ -110,14 +110,6 @@ struct GistConfig
      */
     std::uint64_t mem_budget_bytes = 0;
     /**
-     * calibration.json (written by tools/gist_calibrate) used to price
-     * the hybrid planner's choices with this host's measured kernel
-     * costs. Only when empty does GIST_CALIBRATION fill it; when
-     * neither yields a table the planner falls back to the static
-     * roofline model (perf/gpu_model.hpp).
-     */
-    std::string calibration_path;
-    /**
      * Device feature-map pool cap in bytes (the tiered-memory engine).
      * 0 (the default) = unbounded device, no eviction. Non-zero bounds
      * the metered pool: stash slots overflowing the cap are evicted to
@@ -172,8 +164,7 @@ struct GistConfig
 /**
  * @p config with every GIST_* environment override applied:
  * GIST_MEM_BUDGET, GIST_DEVICE_POOL, GIST_TIER_PATH, GIST_TIER_GBPS,
- * GIST_ASYNC and GIST_CODEC_THREADS replace their field when set;
- * GIST_CALIBRATION fills calibration_path only when it is empty. A
+ * GIST_ASYNC and GIST_CODEC_THREADS replace their field when set. A
  * malformed byte size is fatal (parseByteSize); a GIST_CODEC_THREADS
  * below 1 warns and keeps the config value. The process-wide knobs
  * (GIST_THREADS, GIST_SIMD, GIST_ARENA, GIST_TRACE, GIST_METRICS,

@@ -1,9 +1,7 @@
 #include "core/planner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <set>
 
 #include "layers/conv.hpp"
 #include "perf/gpu_model.hpp"
@@ -112,7 +110,7 @@ planBuffers(const Graph &graph, const BuiltSchedule &schedule,
                                     DataClass::ImmediateFmap, fp32_bytes,
                                     { birth, last_fwd }, true });
                 const StashPlan::SwapCodec codec =
-                    swapCodecFor(schedule.config, decision.category);
+                    swapCodecFor(schedule.config, decision);
                 if (codec != StashPlan::SwapCodec::None) {
                     const std::uint64_t enc_bytes =
                         codec == StashPlan::SwapCodec::Csr
@@ -323,7 +321,7 @@ collectKernelShapes(const Graph &graph, const BuiltSchedule &schedule)
         bool emit_dpr = decision.repr == StashPlan::Repr::Dpr;
         if (decision.repr == StashPlan::Repr::Swap) {
             const StashPlan::SwapCodec codec =
-                swapCodecFor(schedule.config, decision.category);
+                swapCodecFor(schedule.config, decision);
             emit_csr = codec == StashPlan::SwapCodec::Csr;
             emit_dpr = codec == StashPlan::SwapCodec::Dpr;
         }
@@ -401,151 +399,43 @@ collectKernelShapes(const Graph &graph, const BuiltSchedule &schedule)
     return out;
 }
 
-CostEstimate
-estimateStepCost(const Graph &graph, const BuiltSchedule &schedule,
-                 const obs::CalibrationTable &table)
-{
-    CostEstimate est;
-    const KernelShape *worst_missing = nullptr;
-    std::uint64_t worst_work = 0;
-    const auto shapes = collectKernelShapes(graph, schedule);
-    for (const KernelShape &ks : shapes) {
-        double seconds;
-        if (const obs::CalibrationEntry *e =
-                table.find(ks.kernel, ks.shape)) {
-            seconds = e->seconds;
-        } else {
-            seconds = table.secondsFor(ks.kernel, ks.work_bytes);
-            if (seconds < 0.0) {
-                ++est.missing;
-                const std::uint64_t work = ks.work_bytes * ks.calls;
-                if (!worst_missing || work > worst_work) {
-                    worst_missing = &ks;
-                    worst_work = work;
-                }
-                continue;
-            }
-        }
-        const double total = seconds * static_cast<double>(ks.calls);
-        if (ks.kernel == "gemm")
-            est.gemm_seconds += total;
-        else if (ks.kernel == "im2col")
-            est.im2col_seconds += total;
-        else if (ks.kernel.ends_with("_encode"))
-            est.encode_seconds += total;
-        else if (ks.kernel.ends_with("_decode"))
-            est.decode_seconds += total;
-    }
-    if (est.missing > 0) {
-        // Warn once per process, not per call: schedule sweeps price
-        // hundreds of configs against one table and every one of them
-        // would repeat the same complaint.
-        static std::atomic<bool> warned{ false };
-        if (!warned.exchange(true)) {
-            GIST_WARN("calibration table has no entry for ",
-                      est.missing, " kernel shape(s); largest dropped: ",
-                      worst_missing->kernel, "[", worst_missing->shape,
-                      "] (", worst_work,
-                      " work bytes/step costed as zero)");
-        }
-    }
-    return est;
-}
-
 // ================== The budget-driven hybrid planner ==================
 
 namespace {
 
 /**
- * Prices the planner's per-slot choices. With a calibration table the
- * measured entries rule (exact key, then log-log work_bytes
- * interpolation); shapes the table has never seen fall back to a
- * bandwidth estimate and are recorded in the missing set. With no
- * table everything is priced by the static roofline model
- * (perf/gpu_model.hpp) — absolute numbers are then model estimates,
- * but the planner only compares choices against each other.
+ * Prices the planner's per-slot choices with the static roofline model
+ * (perf/gpu_model.hpp). Absolute numbers are model estimates, but the
+ * planner only compares choices against each other.
  */
 class HybridCost
 {
   public:
-    HybridCost(const Graph &graph, const GistConfig &config,
-               const obs::CalibrationTable *table)
-        : graph_(graph), config_(config), table_(table),
+    HybridCost(const Graph &graph, const GistConfig &config)
+        : graph_(graph),
+          // Slow-tier link speed, for pricing Swap transfers: a
+          // configured throttle wins, else the modeled host link.
+          tier_bw_(config.tier_bandwidth_bytes_per_s > 0.0
+                       ? config.tier_bandwidth_bytes_per_s
+                       : params_.pcie_bandwidth),
           fwd_memo_(static_cast<size_t>(graph.numNodes()), -1.0)
     {
-        if (table_) {
-            // Host stream-bandwidth proxy for kernels the table cannot
-            // price directly (elementwise forwards, copies): the best
-            // measured codec throughput — codecs are memory-bound, so
-            // their peak GB/s is what a streaming pass achieves here.
-            for (const auto &e : table_->entries)
-                if (e.kernel.ends_with("_encode") ||
-                    e.kernel.ends_with("_decode"))
-                    host_bw_ = std::max(host_bw_, e.gbps() * 1e9);
-            if (host_bw_ <= 0.0)
-                for (const auto &e : table_->entries)
-                    host_bw_ = std::max(host_bw_, e.gbps() * 1e9);
-        }
-        if (host_bw_ <= 0.0)
-            host_bw_ = params_.mem_bandwidth;
-        // Slow-tier link speed, for pricing Swap transfers: a measured
-        // throttle from the config wins, else the modeled host link.
-        tier_bw_ = config.tier_bandwidth_bytes_per_s > 0.0
-                       ? config.tier_bandwidth_bytes_per_s
-                       : params_.pcie_bandwidth;
-    }
-
-    /** Distinct (kernel, shape) keys that had to be priced statically. */
-    int missingCount() const
-    {
-        return static_cast<int>(missing_.size());
-    }
-
-    /** Encode + decode seconds for storing slot @p id as @p repr. */
-    double
-    codecSeconds(NodeId id, StashPlan::Repr repr)
-    {
-        const Node &node = graph_.node(id);
-        const std::int64_t numel = node.out_shape.numel();
-        const auto fp32 = static_cast<std::uint64_t>(numel) * 4;
-        char key[48];
-        const char *enc;
-        const char *dec;
-        if (repr == StashPlan::Repr::Csr) {
-            std::snprintf(key, sizeof key, "numel=%lld",
-                          static_cast<long long>(numel));
-            enc = "csr_encode";
-            dec = "csr_decode";
-        } else {
-            std::snprintf(key, sizeof key, "fmt=%s,numel=%lld",
-                          dprFormatName(config_.dpr_format),
-                          static_cast<long long>(numel));
-            enc = "dpr_encode";
-            dec = "dpr_decode";
-        }
-        double total = 0.0;
-        for (const char *kernel : { enc, dec }) {
-            const double s = kernelSeconds(kernel, key, fp32);
-            // Static fallback: one read + one write of the dense bytes.
-            total += s >= 0.0 ? s
-                              : 2.0 * static_cast<double>(fp32) / host_bw_;
-        }
-        return total;
     }
 
     /**
-     * Seconds to move @p bytes one way across the slow tier. Prefers a
-     * calibrated tier_write/tier_read bandwidth fit when the table has
-     * one; otherwise the configured/modeled link speed.
+     * Encode + decode seconds for storing slot @p id encoded: each is
+     * one streaming read + one write of the dense bytes.
      */
     double
-    tierSeconds(const char *kernel, std::uint64_t bytes)
+    codecSeconds(NodeId id) const
     {
-        if (table_) {
-            const double s = table_->secondsFor(kernel, bytes);
-            if (s >= 0.0)
-                return s;
-        }
+        return 2.0 * streamSeconds(2 * fp32Bytes(id));
+    }
+
+    /** Seconds to move @p bytes one way across the slow tier. */
+    double
+    tierSeconds(std::uint64_t bytes) const
+    {
         return static_cast<double>(bytes) / tier_bw_;
     }
 
@@ -554,107 +444,35 @@ class HybridCost
     fwdSeconds(NodeId id)
     {
         double &memo = fwd_memo_[static_cast<size_t>(id)];
-        if (memo >= 0.0)
-            return memo;
-        const Node &node = graph_.node(id);
-        const std::uint64_t out_bytes =
-            static_cast<std::uint64_t>(node.out_shape.numel()) * 4;
-        if (node.kind() == LayerKind::Input) {
+        if (memo < 0.0) {
+            const Node &node = graph_.node(id);
             // Replaying the input slot is a copy of the minibatch.
-            return memo = 2.0 * static_cast<double>(out_bytes) / host_bw_;
+            memo = node.kind() == LayerKind::Input
+                       ? streamSeconds(2 * fp32Bytes(id))
+                       : estimateLayerTime(graph_, node, params_).fwd;
         }
-        if (!table_) {
-            // Static roofline — self-consistent with the static codec
-            // fallback above (same GpuModelParams bandwidth).
-            return memo = estimateLayerTime(graph_, node, params_).fwd;
-        }
-        if (node.kind() == LayerKind::Conv) {
-            const auto *conv =
-                static_cast<const ConvLayer *>(node.layer.get());
-            const ConvSpec &spec = conv->spec();
-            const Shape &in = graph_.node(node.inputs[0]).out_shape;
-            const ConvGeometry g{ in.c(),        in.h(),
-                                  in.w(),        spec.kernel_h,
-                                  spec.kernel_w, spec.stride_h,
-                                  spec.stride_w, spec.pad_h,
-                                  spec.pad_w };
-            const std::int64_t m = spec.out_channels;
-            const std::int64_t n = g.colCols();
-            const std::int64_t k = g.colRows();
-            char key[160];
-            std::snprintf(key, sizeof key,
-                          "c=%lld,h=%lld,w=%lld,kh=%lld,kw=%lld,"
-                          "sh=%lld,sw=%lld,ph=%lld,pw=%lld",
-                          static_cast<long long>(in.c()),
-                          static_cast<long long>(in.h()),
-                          static_cast<long long>(in.w()),
-                          static_cast<long long>(spec.kernel_h),
-                          static_cast<long long>(spec.kernel_w),
-                          static_cast<long long>(spec.stride_h),
-                          static_cast<long long>(spec.stride_w),
-                          static_cast<long long>(spec.pad_h),
-                          static_cast<long long>(spec.pad_w));
-            const std::uint64_t col_work =
-                4ull * static_cast<std::uint64_t>(
-                           in.c() * in.h() * in.w() + k * n);
-            double per_image = tableOrBandwidth("im2col", key, col_work);
-            per_image += tableOrBandwidth("gemm", gemmKey(m, n, k),
-                                          gemmBytes(m, n, k));
-            return memo = per_image * static_cast<double>(in.n());
-        }
-        if (node.kind() == LayerKind::Fc) {
-            const Shape &in = graph_.node(node.inputs[0]).out_shape;
-            const std::int64_t batch = in.dim(0);
-            const std::int64_t in_f = in.numel() / batch;
-            const std::int64_t out_f =
-                node.out_shape.numel() / batch;
-            return memo = tableOrBandwidth(
-                       "gemm", gemmKey(batch, out_f, in_f),
-                       gemmBytes(batch, out_f, in_f));
-        }
-        // Elementwise-ish layers: a streaming pass over inputs + output.
-        std::uint64_t moved = out_bytes;
-        for (NodeId in : node.inputs)
-            moved += static_cast<std::uint64_t>(
-                         graph_.node(in).out_shape.numel()) *
-                     4;
-        return memo = static_cast<double>(moved) / host_bw_;
+        return memo;
     }
 
   private:
-    /** Table price; -1 when the table cannot price it (key recorded). */
-    double
-    kernelSeconds(const std::string &kernel, const std::string &shape,
-                  std::uint64_t work_bytes)
+    std::uint64_t
+    fp32Bytes(NodeId id) const
     {
-        if (!table_)
-            return -1.0;
-        if (const obs::CalibrationEntry *e = table_->find(kernel, shape))
-            return e->seconds;
-        const double s = table_->secondsFor(kernel, work_bytes);
-        if (s >= 0.0)
-            return s;
-        missing_.insert(kernel + "|" + shape);
-        return -1.0;
+        return static_cast<std::uint64_t>(
+                   graph_.node(id).out_shape.numel()) *
+               4;
     }
 
     double
-    tableOrBandwidth(const std::string &kernel, const std::string &shape,
-                     std::uint64_t work_bytes)
+    streamSeconds(std::uint64_t bytes) const
     {
-        const double s = kernelSeconds(kernel, shape, work_bytes);
-        return s >= 0.0 ? s
-                        : static_cast<double>(work_bytes) / host_bw_;
+        return static_cast<double>(bytes) / params_.mem_bandwidth;
     }
 
     const Graph &graph_;
-    const GistConfig &config_;
-    const obs::CalibrationTable *table_;
     GpuModelParams params_{};
-    double host_bw_ = 0.0;
-    double tier_bw_ = 0.0;
+    double tier_bw_;
     std::vector<double> fwd_memo_;
-    std::set<std::string> missing_;
 };
 
 /** One simulated forward-replay the executor would run. */
@@ -824,7 +642,7 @@ evaluatePlan(const Graph &graph, const ScheduleInfo &sched,
             continue;
         const auto r = repr[static_cast<size_t>(node.id)];
         if (r == StashPlan::Repr::Csr || r == StashPlan::Repr::Dpr) {
-            const double s = cost.codecSeconds(node.id, r);
+            const double s = cost.codecSeconds(node.id);
             ev.seconds += s;
             ev.slot_seconds[static_cast<size_t>(node.id)] += s;
         } else if (r == StashPlan::Repr::Swap) {
@@ -832,7 +650,7 @@ evaluatePlan(const Graph &graph, const ScheduleInfo &sched,
             // transfer codec when the eviction is compressed (the cDMA
             // idea: fewer bytes on the link buys back stall time).
             const StashPlan::SwapCodec codec =
-                swapCodecFor(base.config, base.of(node.id).category);
+                swapCodecFor(base.config, base.of(node.id));
             std::uint64_t moved =
                 static_cast<std::uint64_t>(node.out_shape.numel()) * 4;
             double s = 0.0;
@@ -840,14 +658,13 @@ evaluatePlan(const Graph &graph, const ScheduleInfo &sched,
                 moved = csrBytesForSparsity(base.config.csr,
                                             node.out_shape.numel(),
                                             sparsity.at(graph, node.id));
-                s += cost.codecSeconds(node.id, StashPlan::Repr::Csr);
+                s += cost.codecSeconds(node.id);
             } else if (codec == StashPlan::SwapCodec::Dpr) {
                 moved = dprEncodedBytes(base.config.dpr_format,
                                         node.out_shape.numel());
-                s += cost.codecSeconds(node.id, StashPlan::Repr::Dpr);
+                s += cost.codecSeconds(node.id);
             }
-            s += cost.tierSeconds("tier_write", moved) +
-                 cost.tierSeconds("tier_read", moved);
+            s += cost.tierSeconds(moved) + cost.tierSeconds(moved);
             ev.seconds += s;
             ev.slot_seconds[static_cast<size_t>(node.id)] += s;
         }
@@ -880,8 +697,7 @@ evaluatePlan(const Graph &graph, const ScheduleInfo &sched,
 
 void
 optimizeHybridSchedule(const Graph &graph, BuiltSchedule &schedule,
-                       std::uint64_t budget_bytes,
-                       const obs::CalibrationTable *table)
+                       std::uint64_t budget_bytes)
 {
     const ScheduleInfo sched(graph);
     const auto n = static_cast<size_t>(graph.numNodes());
@@ -897,21 +713,21 @@ optimizeHybridSchedule(const Graph &graph, BuiltSchedule &schedule,
     const SparsityModel planning_sparsity(margined(0.70),
                                           margined(0.40));
 
-    HybridCost cost(graph, schedule.config, table);
+    HybridCost cost(graph, schedule.config);
 
-    // Upgrade targets per stash slot, gated exactly like the static
-    // Table I assignment: CSR needs SSDC enabled and a ReluConv slot,
-    // DPR needs the DPR flag; recompute is always available (it is
+    // Upgrade targets per stash slot, gated like the static Table I
+    // assignment (CSR needs SSDC and a ReluConv slot, DPR needs the DPR
+    // flag), except that a pool-matched slot takes only exact encodings
+    // (csrEligible / dprEligible). Recompute is always available (it is
     // lossless and needs no codec).
     std::vector<std::vector<StashPlan::Repr>> upgrades(n);
     for (const auto &node : graph.nodes()) {
         if (!sched.stashed(node.id))
             continue;
         auto &up = upgrades[static_cast<size_t>(node.id)];
-        if (schedule.config.ssdc &&
-            schedule.of(node.id).category == StashCategory::ReluConv)
+        if (csrEligible(schedule.config, schedule.of(node.id)))
             up.push_back(StashPlan::Repr::Csr);
-        if (schedule.config.dpr)
+        if (dprEligible(schedule.config, schedule.of(node.id)))
             up.push_back(StashPlan::Repr::Dpr);
         if (schedule.config.device_pool_bytes > 0)
             up.push_back(StashPlan::Repr::Swap);
@@ -1035,12 +851,10 @@ optimizeHybridSchedule(const Graph &graph, BuiltSchedule &schedule,
     HybridPlan &plan = schedule.hybrid;
     plan.active = true;
     plan.feasible = feasible;
-    plan.calibrated = table != nullptr;
     plan.budget_bytes = budget_bytes;
     plan.keep_peak_bytes = keep_peak;
     plan.planned_peak_bytes = cur.peak;
     plan.est_overhead_seconds = cur.seconds;
-    plan.missing_shapes = cost.missingCount();
     for (const auto &node : graph.nodes()) {
         if (!sched.stashed(node.id))
             continue;
@@ -1073,8 +887,8 @@ optimizeHybridSchedule(const Graph &graph, BuiltSchedule &schedule,
             // Nothing stays device-resident across the gap; what the
             // choice costs is the per-direction tier traffic.
             slot.stored_bytes = 0;
-            const StashPlan::SwapCodec codec = swapCodecFor(
-                schedule.config, schedule.of(node.id).category);
+            const StashPlan::SwapCodec codec =
+                swapCodecFor(schedule.config, schedule.of(node.id));
             switch (codec) {
               case StashPlan::SwapCodec::Csr:
                 slot.tier_bytes = csrBytesForSparsity(

@@ -11,14 +11,15 @@
 
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/schedule_builder.hpp"
 #include "core/sparsity.hpp"
 #include "memory/allocator.hpp"
 #include "memory/report.hpp"
-#include "obs/calibrate.hpp"
 
 namespace gist {
 
@@ -65,10 +66,9 @@ PlanSummary planModel(Graph &graph, const GistConfig &config,
                       bool investigation = false);
 
 /**
- * One kernel invocation class a schedule implies: the calibration key
- * (kernel, shape), the bytes one call moves, and how many calls one
- * training step issues. This is the bridge between the static schedule
- * and the measured per-host table tools/gist_calibrate writes.
+ * One kernel invocation class a schedule implies: the kernel, a shape
+ * key, the bytes one call moves, and how many calls one training step
+ * issues. Its only consumer is perfbench's kernel replay.
  */
 struct KernelShape
 {
@@ -83,49 +83,20 @@ struct KernelShape
  * @p schedule: per-image conv im2col + forward/backward GEMMs, per-node
  * FC GEMMs, and one encode + one decode per encoded stash slot. Shapes
  * with identical (kernel, shape) keys are merged with summed calls.
+ * The conv entries describe the per-image im2col lowering, which no
+ * layer runs any more (conv is an implicit GEMM), so the replay times
+ * kernels a training step does not dispatch.
  */
 std::vector<KernelShape> collectKernelShapes(const Graph &graph,
                                              const BuiltSchedule &schedule);
-
-/** Per-kernel-family cost split of estimateStepCost(). */
-struct CostEstimate
-{
-    double encode_seconds = 0.0;
-    double decode_seconds = 0.0;
-    double gemm_seconds = 0.0;
-    double im2col_seconds = 0.0;
-    /** Kernel shapes the table had no entry for (costed as zero). */
-    int missing = 0;
-
-    double total() const
-    {
-        return encode_seconds + decode_seconds + gemm_seconds +
-               im2col_seconds;
-    }
-};
-
-/**
- * Estimated seconds per training step of @p graph under @p schedule,
- * priced from a measured calibration @p table: exact (kernel, shape)
- * entries when present, work_bytes interpolation otherwise. Kernels the
- * table has never seen contribute zero and bump CostEstimate::missing,
- * so callers can tell a cheap schedule from an unpriced one (the
- * hybrid plan JSON reports the count as "missing_shapes"). The first
- * call that drops shapes warns on stderr naming the largest one
- * dropped — a silently-unpriced schedule looks exactly like a cheap
- * one otherwise.
- */
-CostEstimate estimateStepCost(const Graph &graph,
-                              const BuiltSchedule &schedule,
-                              const obs::CalibrationTable &table);
 
 /**
  * The budget-driven hybrid planner (the `--mem-budget` tentpole).
  *
  * Re-chooses the storage representation of every stashed slot in
- * @p schedule among {keep FP32, CSR, DPR, recompute} — CSR only where
- * the config enables SSDC and the slot classifies ReluConv, DPR only
- * where the config enables DPR, recompute always — minimizing the
+ * @p schedule among {keep FP32, CSR, DPR, recompute, swap} — CSR and
+ * DPR where csrEligible() / dprEligible() allow them, swap when a
+ * device pool cap is set, recompute always — minimizing the
  * estimated per-step overhead subject to the modeled peak of the
  * feature-map pool staying at or under @p budget_bytes.
  *
@@ -139,14 +110,12 @@ CostEstimate estimateStepCost(const Graph &graph,
  * need. When even the most aggressive plan overshoots, the minimum-peak
  * plan is kept and HybridPlan::feasible is false (with a warning).
  *
- * Choices are priced by @p table (measured host calibration, log-log
- * interpolated for unmeasured shapes) when non-null, otherwise by the
- * static roofline model in perf/gpu_model.hpp. Results land in
- * @p schedule: decisions[].repr is rewritten and schedule.hybrid is
- * filled (plan summary + per-slot table for the JSON artifacts).
+ * Choices are priced by the static roofline model in
+ * perf/gpu_model.hpp. Results land in @p schedule: decisions[].repr is
+ * rewritten and schedule.hybrid is filled (plan summary + per-slot
+ * table for the JSON artifacts).
  */
 void optimizeHybridSchedule(const Graph &graph, BuiltSchedule &schedule,
-                            std::uint64_t budget_bytes,
-                            const obs::CalibrationTable *table);
+                            std::uint64_t budget_bytes);
 
 } // namespace gist

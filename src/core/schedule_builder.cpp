@@ -7,7 +7,6 @@
 #include "memory/device_pool.hpp"
 #include "layers/pool.hpp"
 #include "layers/relu.hpp"
-#include "obs/calibrate.hpp"
 #include "obs/memprof.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -15,12 +14,26 @@
 
 namespace gist {
 
-StashPlan::SwapCodec
-swapCodecFor(const GistConfig &config, StashCategory category)
+bool
+csrEligible(const GistConfig &config, const ScheduleDecision &decision)
 {
-    if (config.ssdc && category == StashCategory::ReluConv)
+    return config.ssdc && decision.category == StashCategory::ReluConv &&
+           (!decision.pool_matched ||
+            config.csr.value_format == DprFormat::Fp32);
+}
+
+bool
+dprEligible(const GistConfig &config, const ScheduleDecision &decision)
+{
+    return config.dpr && !decision.pool_matched;
+}
+
+StashPlan::SwapCodec
+swapCodecFor(const GistConfig &config, const ScheduleDecision &decision)
+{
+    if (csrEligible(config, decision))
         return StashPlan::SwapCodec::Csr;
-    if (config.dpr)
+    if (dprEligible(config, decision))
         return StashPlan::SwapCodec::Dpr;
     return StashPlan::SwapCodec::None;
 }
@@ -75,6 +88,18 @@ buildSchedule(Graph &graph, const GistConfig &config)
         }
     }
 
+    // A max-pool left in Dense mode matches its input against its output.
+    for (const auto &node : graph.nodes()) {
+        const auto *pool =
+            dynamic_cast<const MaxPoolLayer *>(node.layer.get());
+        if (pool && pool->stashMode() == MaxPoolLayer::StashMode::Dense) {
+            built.decisions[static_cast<size_t>(node.id)].pool_matched =
+                true;
+            built.decisions[static_cast<size_t>(node.inputs[0])]
+                .pool_matched = true;
+        }
+    }
+
     // Stashedness with the new modes decides the storage representation.
     const ScheduleInfo sched(graph);
     for (auto &node : graph.nodes()) {
@@ -118,22 +143,8 @@ buildSchedule(Graph &graph, const GistConfig &config)
     // re-chooses the representations (keep / CSR / DPR / recompute, and
     // swap when a device pool cap is set) against the budget.
     const std::uint64_t budget = built.config.mem_budget_bytes;
-    if (budget > 0) {
-        const std::string &cal_path = built.config.calibration_path;
-        obs::CalibrationTable table;
-        bool have_table = false;
-        if (!cal_path.empty()) {
-            std::string err;
-            have_table = obs::CalibrationTable::load(cal_path, table,
-                                                     &err);
-            if (!have_table)
-                GIST_WARN("hybrid planner falling back to the static "
-                          "cost model: ",
-                          err);
-        }
-        optimizeHybridSchedule(graph, built, budget,
-                               have_table ? &table : nullptr);
-    }
+    if (budget > 0)
+        optimizeHybridSchedule(graph, built, budget);
 
     return built;
 }
@@ -155,20 +166,18 @@ hybridPlanJson(const BuiltSchedule &schedule)
         return "?";
     };
     char buf[256];
-    std::string out = "{\"kind\": \"gist-hybrid-plan\", \"version\": 1,";
+    std::string out = "{\"kind\": \"gist-hybrid-plan\", \"version\": 2,";
     std::snprintf(buf, sizeof buf,
                   " \"budget_bytes\": %llu, \"feasible\": %s,"
-                  " \"calibrated\": %s, \"keep_peak_bytes\": %llu,"
+                  " \"keep_peak_bytes\": %llu,"
                   " \"planned_peak_bytes\": %llu,"
-                  " \"est_overhead_seconds\": %.9g,"
-                  " \"missing_shapes\": %d, \"slots\": [",
+                  " \"est_overhead_seconds\": %.9g, \"slots\": [",
                   static_cast<unsigned long long>(plan.budget_bytes),
                   plan.feasible ? "true" : "false",
-                  plan.calibrated ? "true" : "false",
                   static_cast<unsigned long long>(plan.keep_peak_bytes),
                   static_cast<unsigned long long>(
                       plan.planned_peak_bytes),
-                  plan.est_overhead_seconds, plan.missing_shapes);
+                  plan.est_overhead_seconds);
     out += buf;
     bool first = true;
     for (const HybridSlot &slot : plan.slots) {
@@ -217,8 +226,7 @@ applyToExecutor(const BuiltSchedule &schedule, Executor &exec)
             break;
           case StashPlan::Repr::Swap:
             plan.repr = StashPlan::Repr::Swap;
-            plan.swap_codec =
-                swapCodecFor(schedule.config, decision.category);
+            plan.swap_codec = swapCodecFor(schedule.config, decision);
             if (plan.swap_codec == StashPlan::SwapCodec::Csr)
                 plan.csr = schedule.config.csr;
             else if (plan.swap_codec == StashPlan::SwapCodec::Dpr)

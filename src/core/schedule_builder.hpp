@@ -29,6 +29,12 @@ struct ScheduleDecision
     StashPlan::Repr repr = StashPlan::Repr::Dense;
     bool binarized = false;    ///< ReLU mask + pool map applied
     bool inplace = false;      ///< output aliases its producer's buffer
+    /**
+     * A Dense-mode max-pool reads this map (as its input or its output)
+     * by value in backward: it finds each argmax as the first input tap
+     * equal to the output, so a pair quantized differently breaks it.
+     */
+    bool pool_matched = false;
 };
 
 /** One stash slot's outcome from the budget-driven hybrid planner. */
@@ -54,12 +60,10 @@ struct HybridPlan
 {
     bool active = false;      ///< a budget was set and planning ran
     bool feasible = true;     ///< planned peak fits the budget
-    bool calibrated = false;  ///< priced from a measured calibration.json
     std::uint64_t budget_bytes = 0;
     std::uint64_t keep_peak_bytes = 0;    ///< all-keep modeled peak
     std::uint64_t planned_peak_bytes = 0; ///< chosen-plan modeled peak
     double est_overhead_seconds = 0.0;    ///< codec + replay per step
-    int missing_shapes = 0; ///< uncalibrated shapes priced statically
     std::vector<HybridSlot> slots;        ///< one per stash slot
 };
 
@@ -81,14 +85,29 @@ struct BuiltSchedule
 };
 
 /**
+ * Whether a per-slot choice (the hybrid planner's, or a Swap slot's
+ * transfer codec) may store @p decision's map CSR-encoded: SSDC is on,
+ * the slot is ReluConv, and a pool-matched slot is stored exactly (CSR
+ * with FP32 values).
+ */
+bool csrEligible(const GistConfig &config, const ScheduleDecision &decision);
+
+/**
+ * Whether a per-slot choice may store @p decision's map DPR-encoded:
+ * DPR is on and the slot is not pool-matched (DPR is lossy below FP32).
+ */
+bool dprEligible(const GistConfig &config, const ScheduleDecision &decision);
+
+/**
  * The transfer codec a Swap slot compresses with before eviction (the
  * cDMA idea: stack the paper's encodings on the slow-tier transfer).
- * Deterministic from config + category so the planner's pricing, the
- * buffer model and applyToExecutor() always agree: CSR for ReluConv
- * slots when SSDC is on, else DPR when enabled, else raw FP32.
+ * Deterministic from config + decision so the planner's pricing, the
+ * buffer model and applyToExecutor() always agree: CSR when eligible,
+ * else DPR when eligible, else raw FP32. A pool-matched slot therefore
+ * always travels losslessly.
  */
 StashPlan::SwapCodec swapCodecFor(const GistConfig &config,
-                                  StashCategory category);
+                                  const ScheduleDecision &decision);
 
 /**
  * The hybrid plan as a JSON object string (single line), the payload

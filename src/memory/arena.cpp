@@ -26,10 +26,11 @@ std::atomic<std::uint64_t> g_heap_allocs{ 0 };
 std::atomic<int> g_open_frames{ 0 };
 
 /**
- * All thread regions, for beginStep()/stats. Leaked (repo singleton
- * idiom) so pool threads that outlive main() teardown never touch a
- * destroyed registry. Regions are appended once per thread and never
- * removed; the mutex guards only registration and iteration.
+ * All live thread regions, for beginStep()/stats. Leaked (repo
+ * singleton idiom) so pool threads that outlive main() teardown never
+ * touch a destroyed registry. A region is registered on its thread's
+ * first frame and removed when that thread exits; the mutex guards
+ * registration, removal and iteration.
  */
 struct RegionRegistry
 {
@@ -44,17 +45,40 @@ registry()
     return *r;
 }
 
+thread_local detail::ArenaRegion *t_region = nullptr;
+
+/**
+ * Frees the calling thread's region when the thread exits, so short-
+ * lived threads (each async executor's codec workers) leave nothing in
+ * the registry. Unregistering under the mutex keeps beginStep() and the
+ * stats from ever reading a freed region.
+ */
+struct RegionReaper
+{
+    ~RegionReaper()
+    {
+        RegionRegistry &reg = registry();
+        std::lock_guard<std::mutex> lock(reg.mu);
+        std::erase(reg.regions, t_region);
+        delete t_region;
+        t_region = nullptr;
+    }
+};
+
 detail::ArenaRegion &
 threadRegion()
 {
-    thread_local detail::ArenaRegion *region = [] {
-        auto *r = new detail::ArenaRegion;
+    if (!t_region) {
+        // Arms the reaper once per thread. A frame opened on this thread
+        // after the reaper ran (static teardown) gets a region that is
+        // never freed.
+        thread_local RegionReaper reaper;
+        t_region = new detail::ArenaRegion;
         RegionRegistry &reg = registry();
         std::lock_guard<std::mutex> lock(reg.mu);
-        reg.regions.push_back(r);
-        return r;
-    }();
-    return *region;
+        reg.regions.push_back(t_region);
+    }
+    return *t_region;
 }
 
 void *

@@ -21,11 +21,13 @@
  * no allocation path takes a lock or shares a cache line. Codec-queue
  * workers (the async stash pipeline) likewise get their own regions —
  * scratch is double-buffered per thread by construction, so codec
- * encodes never fight the main thread's step arena. beginStep() touches
- * every region, which is safe because the executor joins all codec
- * tickets before the step ends and the thread pool's quiescent barrier
- * orders it against kernel execution on both sides; an open-frame count
- * asserts that no ArenaScope (on any thread) spans the call.
+ * encodes never fight the main thread's step arena. A region is freed
+ * when its thread exits, so the codec workers of a destroyed executor
+ * leave no reserved bytes behind. beginStep() touches every region,
+ * which is safe because the executor joins all codec tickets before the
+ * step ends and the thread pool's quiescent barrier orders it against
+ * kernel execution on both sides; an open-frame count asserts that no
+ * ArenaScope (on any thread) spans the call.
  *
  * reservedBytes() reports the resident block total (the memory
  * profiler samples it at every node boundary). Set GIST_ARENA=0 to
@@ -84,7 +86,7 @@ class WorkspaceArena
      */
     void beginStep();
 
-    /** Sum of resident block sizes across all thread regions. */
+    /** Sum of resident block sizes across all live thread regions. */
     std::size_t reservedBytes() const;
 
     /** Max bytes ever simultaneously live in any single region. */

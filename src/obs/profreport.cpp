@@ -288,16 +288,13 @@ sectionPlan(const JsonValue &memprof, int top_k, std::ostringstream &out)
             for (const JsonValue &s : steps->items())
                 measured = std::max(
                     measured, s.numberOr("peak_pool_bytes", 0.0));
-    const auto boolOf = [&](const char *key) {
-        const JsonValue *v = plan->get(key);
-        return v && v->isBool() && v->asBool();
-    };
+    const JsonValue *feasible = plan->get("feasible");
     const double budget = plan->numberOr("budget_bytes", 0.0);
     const double planned = plan->numberOr("planned_peak_bytes", 0.0);
-    out << fmt("  budget: %s (%s, %s pricing)\n",
-               bytesHuman(budget).c_str(),
-               boolOf("feasible") ? "feasible" : "INFEASIBLE",
-               boolOf("calibrated") ? "calibrated" : "roofline");
+    out << fmt("  budget: %s (%s)\n", bytesHuman(budget).c_str(),
+               feasible && feasible->isBool() && feasible->asBool()
+                   ? "feasible"
+                   : "INFEASIBLE");
     out << fmt("  planned peak: %s   keep-everything peak: %s   "
                "measured peak: %s%s\n",
                bytesHuman(planned).c_str(),
@@ -305,10 +302,6 @@ sectionPlan(const JsonValue &memprof, int top_k, std::ostringstream &out)
                measured > 0.0 ? bytesHuman(measured).c_str() : "?",
                measured > budget && budget > 0.0 ? "  ** OVER BUDGET **"
                                                  : "");
-    const auto missing = plan->intOr("missing_shapes", 0);
-    if (missing > 0)
-        out << fmt("  uncalibrated shapes: %lld (priced by fallback)\n",
-                   static_cast<long long>(missing));
     const JsonValue *slots = plan->get("slots");
     if (!slots || !slots->isArray())
         return;

@@ -1,9 +1,10 @@
 /**
  * @file
- * Minimal JSON reader for the profiling toolchain: calibration tables,
- * trace files, metrics JSONL and memprof timelines are all written by
- * this codebase, so the parser favors smallness and clear errors over
- * speed. Strict JSON (RFC 8259) with one extension: none.
+ * Minimal JSON reader for the profiling toolchain (trace files, metrics
+ * JSONL, memprof timelines and their hybrid plans) and for gist_serve's
+ * job specs. The profiling artifacts are all written by this codebase,
+ * so the parser favors smallness and clear errors over speed. Strict
+ * JSON (RFC 8259) with one extension: none.
  *
  * Values are an immutable tree; object member order is preserved (the
  * writer side is deterministic, and tests diff round-trips).

@@ -1,12 +1,12 @@
 /**
  * @file
  * Workspace arena tests: ArenaScope frame semantics (alignment, LIFO
- * reuse, overflow chunks), beginStep() high-water regrowth, and the
- * headline property — once regions are warm, steady-state training-step
- * hot paths (conv forward/backward, GEMM with A-pack, codec round
- * trips) perform ZERO heap allocations. The latter is asserted with a
- * binary-wide operator new/delete replacement that counts every
- * allocation on every thread.
+ * reuse, overflow chunks), beginStep() high-water regrowth, freeing the
+ * regions of exited threads, and the headline property — once regions
+ * are warm, steady-state training-step hot paths (conv
+ * forward/backward, GEMM with A-pack, codec round trips) perform ZERO
+ * heap allocations. The latter is asserted with a binary-wide operator
+ * new/delete replacement that counts every allocation on every thread.
  */
 
 #include <gtest/gtest.h>
@@ -18,12 +18,14 @@
 #include <new>
 #include <vector>
 
+#include "core/gist.hpp"
 #include "encodings/binarize.hpp"
 #include "encodings/csr.hpp"
 #include "encodings/dpr.hpp"
 #include "graph/layer.hpp"
 #include "layers/conv.hpp"
 #include "memory/arena.hpp"
+#include "models/builder.hpp"
 #include "tensor/gemm.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -219,6 +221,43 @@ TEST(Arena, ReservedBytesNeverShrink)
     arena.beginStep();
     arena.beginStep();
     EXPECT_GE(arena.reservedBytes(), before);
+}
+
+TEST(Arena, ExitedThreadsLeaveNoReservedBytes)
+{
+    // An async executor runs a codec worker thread whose CSR encodes
+    // open frames on the worker's own region. Destroying the executor
+    // joins the worker, so N executors in a row reserve no more than one.
+    auto &arena = WorkspaceArena::instance();
+    if (!arena.enabled())
+        GTEST_SKIP() << "GIST_ARENA=0";
+    const auto run_one = [] {
+        NetBuilder net(4, 3, 8, 8);
+        net.conv(8, 3, 1, 1);
+        net.relu();
+        net.conv(8, 3, 1, 1);
+        net.relu();
+        net.fc(5);
+        net.loss(5);
+        Graph g = net.take();
+        Rng rng(5);
+        g.initParams(rng);
+        GistConfig cfg = GistConfig::lossy(DprFormat::Fp16);
+        cfg.async_codec = true;
+        cfg.codec_threads = 1;
+        Executor exec(g);
+        applyToExecutor(buildSchedule(g, cfg), exec);
+        const std::vector<std::int32_t> labels = { 0, 1, 2, 3 };
+        for (int s = 0; s < 3; ++s)
+            exec.runMinibatch(
+                Tensor::uniform(g.node(0).out_shape, rng, -1.0f, 1.0f),
+                labels);
+    };
+    run_one(); // the main thread's and pool workers' regions warm up
+    const std::size_t after_one = arena.reservedBytes();
+    for (int i = 0; i < 4; ++i)
+        run_one();
+    EXPECT_EQ(arena.reservedBytes(), after_one);
 }
 
 // ---------------------------------------------------------------------

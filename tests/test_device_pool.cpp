@@ -581,26 +581,30 @@ TEST(DevicePool, CompressedSwapIsDeterministicAcrossModes)
 {
     // CSR/DPR-compressed transfers: sync and async must agree bitwise
     // (lossy DPR is deterministic, so the arms still match each other).
-    const std::uint64_t seed = 13;
+    // Seed 23 has a Dense-mode max-pool, whose input and output must
+    // travel losslessly (swapCodecFor).
     GistConfig cfg = GistConfig::baseline();
     cfg.ssdc = true;
     cfg.dpr = true;
     cfg.dpr_format = DprFormat::Fp16;
-    const auto raw = runSteps(randomGraph(seed), seed,
-                              GistConfig::baseline(), {}, false, 0, 0, 3,
-                              /*swap_all=*/true);
-    const auto sync = runSteps(randomGraph(seed), seed, cfg, {}, false,
-                               0, 0, 3, /*swap_all=*/true);
-    EXPECT_GT(sync.tier_evictions, 0u);
-    EXPECT_LT(sync.tier_bytes_out, raw.tier_bytes_out)
-        << "CSR/DPR-compressed evictions should move fewer bytes than "
-           "raw fp32 swaps";
-    const auto async = runSteps(randomGraph(seed), seed, cfg, {}, true,
-                                2, seed * 2 + 1, 3, true);
-    EXPECT_EQ(sync.losses, async.losses);
-    EXPECT_EQ(sync.grads, async.grads);
-    EXPECT_EQ(sync.tier_bytes_out, async.tier_bytes_out)
-        << "compressed transfer volume must not depend on timing";
+    for (const std::uint64_t seed : { 13u, 23u }) {
+        SCOPED_TRACE(seed);
+        const auto raw = runSteps(randomGraph(seed), seed,
+                                  GistConfig::baseline(), {}, false, 0, 0,
+                                  3, /*swap_all=*/true);
+        const auto sync = runSteps(randomGraph(seed), seed, cfg, {}, false,
+                                   0, 0, 3, /*swap_all=*/true);
+        EXPECT_GT(sync.tier_evictions, 0u);
+        EXPECT_LT(sync.tier_bytes_out, raw.tier_bytes_out)
+            << "CSR/DPR-compressed evictions should move fewer bytes "
+               "than raw fp32 swaps";
+        const auto async = runSteps(randomGraph(seed), seed, cfg, {}, true,
+                                    2, seed * 2 + 1, 3, true);
+        EXPECT_EQ(sync.losses, async.losses);
+        EXPECT_EQ(sync.grads, async.grads);
+        EXPECT_EQ(sync.tier_bytes_out, async.tier_bytes_out)
+            << "compressed transfer volume must not depend on timing";
+    }
 }
 
 TEST(DevicePool, StatsArePopulatedOnCappedRuns)
@@ -793,6 +797,54 @@ TEST(DevicePoolPlanner, SwapSlotsExecuteUnderTheirPlan)
     const float loss = exec.runMinibatch(batch, labels);
     EXPECT_TRUE(std::isfinite(loss));
     EXPECT_GT(exec.stats().tier_evictions, 0u);
+}
+
+TEST(DevicePoolPlanner, MaxPoolPairsStayExactAtTightBudgets)
+{
+    // Without Binarize a ReLU -> max-pool pair stays in Dense mode, whose
+    // backward finds each argmax as the first input tap equal to the
+    // output. CSR values stay FP32 here, so DPR is the only lossy
+    // choice; a plan that keeps the pool's input and stores its output
+    // DPR panics ("maxpool argmax not found"). Seed 14 is a graph whose
+    // tight-budget plans pick that pair when DPR is eligible for it,
+    // with and without a 1-byte cap.
+    GistConfig cfg = GistConfig::baseline();
+    cfg.ssdc = true;
+    cfg.dpr = true;
+    cfg.dpr_format = DprFormat::Fp16;
+    for (const std::uint64_t seed : { 14u, 23u }) {
+        for (const std::uint64_t cap : { 0u, 1u }) {
+            GistConfig c = cfg;
+            c.device_pool_bytes = cap;
+            c.mem_budget_bytes = 1ull << 40;
+            Graph probe = randomGraph(seed);
+            const std::uint64_t keep =
+                buildSchedule(probe, c).hybrid.keep_peak_bytes;
+            for (const double f : { 0.8, 0.3, 0.01 }) {
+                SCOPED_TRACE(::testing::Message() << "seed " << seed
+                                                  << " cap " << cap
+                                                  << " f " << f);
+                c.mem_budget_bytes = static_cast<std::uint64_t>(
+                    static_cast<double>(keep) * f);
+                Graph g = randomGraph(seed);
+                const BuiltSchedule s = buildSchedule(g, c);
+                int matched = 0;
+                for (const ScheduleDecision &d : s.decisions) {
+                    if (!d.pool_matched)
+                        continue;
+                    ++matched;
+                    EXPECT_NE(d.repr, StashPlan::Repr::Dpr);
+                    if (d.repr == StashPlan::Repr::Swap)
+                        EXPECT_NE(swapCodecFor(s.config, d),
+                                  StashPlan::SwapCodec::Dpr);
+                }
+                EXPECT_EQ(matched, 2) << "one Dense-mode max-pool pair";
+                const auto run =
+                    runSteps(randomGraph(seed), seed, c, {}, false, 0, 0, 2);
+                EXPECT_TRUE(std::isfinite(run.losses.back()));
+            }
+        }
+    }
 }
 
 } // namespace

@@ -25,7 +25,7 @@
 #include "core/gist.hpp"
 #include "core/planner.hpp"
 #include "models/builder.hpp"
-#include "obs/calibrate.hpp"
+#include "models/tiny.hpp"
 #include "util/jsonin.hpp"
 #include "util/rng.hpp"
 
@@ -287,6 +287,7 @@ TEST(HybridPlanner, PlanJsonParsesAndDescribesEverySlot)
     std::string err;
     ASSERT_TRUE(JsonValue::parse(json, root, &err)) << err;
     EXPECT_EQ(root.stringOr("kind", ""), "gist-hybrid-plan");
+    EXPECT_EQ(root.intOr("version", -1), 2);
     EXPECT_EQ(root.intOr("budget_bytes", -1),
               static_cast<std::int64_t>(keep_peak / 2));
     const JsonValue *slots = root.get("slots");
@@ -299,6 +300,21 @@ TEST(HybridPlanner, PlanJsonParsesAndDescribesEverySlot)
         if (sched.stashed(node.id))
             ++stashed;
     EXPECT_EQ(schedule.hybrid.slots.size(), stashed);
+}
+
+TEST(HybridPlanner, PlanningIsDeterministic)
+{
+    // perfbench's resnet-hybrid config. Planning is a pure function of
+    // graph and config: rebuilding on the same graph and building on a
+    // fresh one must publish byte-identical plans.
+    GistConfig cfg = GistConfig::lossy(DprFormat::Fp16);
+    cfg.mem_budget_bytes = 3400000;
+    Graph g = models::tinyResnet(32);
+    const std::string first = hybridPlanJson(buildSchedule(g, cfg));
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(hybridPlanJson(buildSchedule(g, cfg)), first);
+    Graph fresh = models::tinyResnet(32);
+    EXPECT_EQ(hybridPlanJson(buildSchedule(fresh, cfg)), first);
 }
 
 TEST(HybridPlanner, EnvOverridesDriveBudgetAndPlanning)
@@ -352,19 +368,6 @@ TEST(HybridPlannerDeathTest, ByteSizeParserRejectsMalformedInput)
                 "overflows 64 bits");
     EXPECT_EXIT(parseByteSize("999999999999g"), ::testing::ExitedWithCode(1),
                 "overflows 64 bits");
-}
-
-TEST(HybridPlanner, MissingShapesBumpCounterAndSplitFromCheap)
-{
-    // A table with one unrelated kernel: every schedule shape misses.
-    obs::CalibrationTable table;
-    table.entries.push_back({ "unrelated", "numel=1", 4, 1e-6 });
-    Graph g = hazardGraph();
-    const BuiltSchedule schedule =
-        buildSchedule(g, GistConfig::lossless());
-    const CostEstimate est = estimateStepCost(g, schedule, table);
-    EXPECT_GT(est.missing, 0);
-    EXPECT_EQ(est.total(), 0.0);
 }
 
 } // namespace

@@ -3,24 +3,21 @@
  * The self-profiling runtime's contracts: the memory-timeline profiler
  * reports a step peak that matches the executor's fmap-pool high-water
  * exactly with per-slot attribution summing to it (sync mode is the
- * exact path — every meter op runs on the main thread); the calibration
- * table round-trips through its versioned JSON, rejects foreign files,
- * and interpolates; and the planner prices a schedule from a table.
+ * exact path — every meter op runs on the main thread); the planner
+ * lists the kernel shapes a schedule dispatches; and gist_prof renders
+ * the artifacts, hybrid plan included.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/gist.hpp"
 #include "core/planner.hpp"
 #include "models/builder.hpp"
-#include "obs/calibrate.hpp"
 #include "obs/memprof.hpp"
 #include "obs/profreport.hpp"
 #include "util/rng.hpp"
@@ -166,87 +163,6 @@ TEST(MemProf, WritesWellFormedJson)
     std::remove(path.c_str());
 }
 
-TEST(Calibration, SaveLoadRoundTrip)
-{
-    obs::CalibrationTable table;
-    table.host = "testhost";
-    table.simd = "avx2";
-    table.threads = 4;
-    table.created = "2026-08-08T00:00:00Z";
-    table.entries = { { "gemm", "m=8,n=8,k=8", 768, 1.5e-6 },
-                      { "csr_encode", "numel=1024", 4096, 2.5e-6 } };
-
-    const std::string path =
-        ::testing::TempDir() + "gist_calibration_test.json";
-    ASSERT_TRUE(table.save(path));
-
-    obs::CalibrationTable loaded;
-    std::string err;
-    ASSERT_TRUE(obs::CalibrationTable::load(path, loaded, &err)) << err;
-    EXPECT_EQ(loaded.version, obs::CalibrationTable::kVersion);
-    EXPECT_EQ(loaded.host, table.host);
-    EXPECT_EQ(loaded.simd, table.simd);
-    EXPECT_EQ(loaded.threads, table.threads);
-    EXPECT_EQ(loaded.created, table.created);
-    ASSERT_EQ(loaded.entries.size(), table.entries.size());
-    const obs::CalibrationEntry *e = loaded.find("gemm", "m=8,n=8,k=8");
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->work_bytes, 768u);
-    EXPECT_DOUBLE_EQ(e->seconds, 1.5e-6);
-    std::remove(path.c_str());
-}
-
-TEST(Calibration, RejectsWrongVersionAndKind)
-{
-    const std::string path =
-        ::testing::TempDir() + "gist_calibration_bad.json";
-    {
-        std::ofstream f(path);
-        f << "{\"version\": 99, \"kind\": \"gist-calibration\","
-             " \"entries\": []}";
-    }
-    obs::CalibrationTable out;
-    std::string err;
-    EXPECT_FALSE(obs::CalibrationTable::load(path, out, &err));
-    EXPECT_NE(err.find("version"), std::string::npos) << err;
-    {
-        std::ofstream f(path);
-        f << "{\"version\": 1, \"kind\": \"something-else\","
-             " \"entries\": []}";
-    }
-    EXPECT_FALSE(obs::CalibrationTable::load(path, out, &err));
-    {
-        std::ofstream f(path);
-        f << "this is not json";
-    }
-    EXPECT_FALSE(obs::CalibrationTable::load(path, out, &err));
-    std::remove(path.c_str());
-}
-
-TEST(Calibration, InterpolatesBetweenMeasuredShapes)
-{
-    obs::CalibrationTable table;
-    table.entries = { { "csr_encode", "numel=250", 1000, 1e-6 },
-                      { "csr_encode", "numel=750", 3000, 3e-6 } };
-    // Between two equal-throughput points the log-log fit is t ~ w^1,
-    // identical to linear interpolation in work_bytes.
-    EXPECT_DOUBLE_EQ(table.secondsFor("csr_encode", 2000), 2e-6);
-    // Outside the range: nearest entry's throughput.
-    EXPECT_DOUBLE_EQ(table.secondsFor("csr_encode", 500), 0.5e-6);
-    EXPECT_DOUBLE_EQ(table.secondsFor("csr_encode", 6000), 6e-6);
-    // Unknown kernel: negative sentinel.
-    EXPECT_LT(table.secondsFor("gemm", 1000), 0.0);
-
-    // A genuinely super-linear kernel: (1000, 1e-6) -> (4000, 8e-6) is
-    // t ~ w^1.5 in log-log, so the midpoint (w=2000) prices at
-    // 2^1.5 µs, NOT the linear-in-bytes 10/3 µs.
-    obs::CalibrationTable curved;
-    curved.entries = { { "gemm", "m=1", 1000, 1e-6 },
-                       { "gemm", "m=2", 4000, 8e-6 } };
-    EXPECT_NEAR(curved.secondsFor("gemm", 2000),
-                std::pow(2.0, 1.5) * 1e-6, 1e-12);
-}
-
 TEST(PlannerCost, CollectsScheduleShapesAndPricesThem)
 {
     Graph g = chain();
@@ -266,25 +182,6 @@ TEST(PlannerCost, CollectsScheduleShapesAndPricesThem)
     EXPECT_TRUE(has_gemm);
     EXPECT_TRUE(has_im2col);
     EXPECT_TRUE(has_codec) << "lossy schedule emitted no codec kernels";
-
-    // A table covering every shape prices the whole step.
-    obs::CalibrationTable table;
-    for (const KernelShape &ks : shapes)
-        table.entries.push_back(
-            { ks.kernel, ks.shape, ks.work_bytes, 1e-6 });
-    const CostEstimate est = estimateStepCost(g, schedule, table);
-    EXPECT_EQ(est.missing, 0);
-    EXPECT_GT(est.total(), 0.0);
-    EXPECT_GT(est.gemm_seconds, 0.0);
-    EXPECT_GT(est.im2col_seconds, 0.0);
-    EXPECT_GT(est.encode_seconds, 0.0);
-    EXPECT_GT(est.decode_seconds, 0.0);
-
-    // An empty table prices nothing and says so.
-    const CostEstimate none =
-        estimateStepCost(g, schedule, obs::CalibrationTable{});
-    EXPECT_EQ(none.total(), 0.0);
-    EXPECT_EQ(none.missing, static_cast<int>(shapes.size()));
 }
 
 TEST(ProfReport, RendersSectionsFromArtifacts)
@@ -345,10 +242,10 @@ TEST(ProfReport, RendersHybridPlanVsActual)
              {"step":0,"peak_pool_bytes":3000,"peak_sched_step":1,
               "peak_node":"conv1","arena_high_water":512,
               "peak_attribution":[],"timeline":[]}],
-            "plan":{"kind":"gist-hybrid-plan","version":1,
-              "budget_bytes":4096,"feasible":true,"calibrated":false,
+            "plan":{"kind":"gist-hybrid-plan","version":2,
+              "budget_bytes":4096,"feasible":true,
               "keep_peak_bytes":8192,"planned_peak_bytes":3100,
-              "est_overhead_seconds":0.001,"missing_shapes":0,
+              "est_overhead_seconds":0.001,
               "slots":[
                 {"node":1,"name":"relu1","category":"relu_conv",
                  "repr":"csr","fp32_bytes":4096,"stored_bytes":2048,
@@ -383,16 +280,15 @@ TEST(ProfReport, RendersHybridPlanVsActual)
         R"({"kind":"gist-memprof","steps":[
              {"step":0,"peak_pool_bytes":9000}],
             "plan":{"kind":"gist-hybrid-plan","budget_bytes":4096,
-              "feasible":false,"calibrated":true,
+              "feasible":false,
               "keep_peak_bytes":9000,"planned_peak_bytes":8500,
-              "missing_shapes":2,"slots":[]}})",
+              "slots":[]}})",
         memprof2, &err))
         << err;
     const std::string report2 =
         obs::renderProfReport(nullptr, nullptr, &memprof2, {});
     EXPECT_NE(report2.find("INFEASIBLE"), std::string::npos);
     EXPECT_NE(report2.find("OVER BUDGET"), std::string::npos);
-    EXPECT_NE(report2.find("uncalibrated shapes: 2"), std::string::npos);
 }
 
 } // namespace

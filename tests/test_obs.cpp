@@ -186,7 +186,7 @@ TEST(Trace, RingOverflowDropsInsteadOfWrapping)
     obs::traceReset();
 }
 
-TEST(Counters, RegistryIsExactUnderParallelFor)
+TEST(Counters, CounterIsExactUnderParallelFor)
 {
     setNumThreads(4);
     obs::Counter c;
@@ -307,7 +307,7 @@ struct StatsRun
     }
 };
 
-TEST(Obs, ExecutorStatsFlowThroughRegistry)
+TEST(Obs, ExecutorStatsStayPerExecutorWhenInterleaved)
 {
     // Each executor owns every count it takes, so two executors
     // stepped alternately in one process report exactly what each

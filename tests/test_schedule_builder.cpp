@@ -221,9 +221,8 @@ class OverrideEnvGuard
 {
   public:
     static constexpr const char *kNames[] = {
-        "GIST_MEM_BUDGET", "GIST_DEVICE_POOL", "GIST_CALIBRATION",
-        "GIST_TIER_PATH",  "GIST_TIER_GBPS",   "GIST_ASYNC",
-        "GIST_CODEC_THREADS"
+        "GIST_MEM_BUDGET", "GIST_DEVICE_POOL", "GIST_TIER_PATH",
+        "GIST_TIER_GBPS",  "GIST_ASYNC",       "GIST_CODEC_THREADS"
     };
 
     OverrideEnvGuard()
@@ -254,7 +253,6 @@ TEST(Config, ResolveConfigAppliesEachOverrideOnce)
     const std::string tier_dir = ::testing::TempDir();
     setenv("GIST_MEM_BUDGET", "1g", 1);
     setenv("GIST_DEVICE_POOL", "256k", 1);
-    setenv("GIST_CALIBRATION", "/nonexistent/env_calibration.json", 1);
     setenv("GIST_TIER_PATH", tier_dir.c_str(), 1);
     setenv("GIST_TIER_GBPS", "2.5", 1);
     setenv("GIST_ASYNC", "1", 1);
@@ -275,12 +273,6 @@ TEST(Config, ResolveConfigAppliesEachOverrideOnce)
     EXPECT_DOUBLE_EQ(r.tier_bandwidth_bytes_per_s, 2.5e9);
     EXPECT_TRUE(r.async_codec);
     EXPECT_EQ(r.codec_threads, 3);
-    // GIST_CALIBRATION only fills an empty calibration_path.
-    EXPECT_EQ(r.calibration_path, "/nonexistent/env_calibration.json");
-    GistConfig own_cal = cfg;
-    own_cal.calibration_path = "config_calibration.json";
-    EXPECT_EQ(resolveConfig(own_cal).calibration_path,
-              "config_calibration.json");
     // A bad codec thread count warns and keeps the config's.
     setenv("GIST_CODEC_THREADS", "0", 1);
     EXPECT_EQ(resolveConfig(cfg).codec_threads, 2);
@@ -294,7 +286,6 @@ TEST(Config, ResolveConfigAppliesEachOverrideOnce)
     EXPECT_TRUE(built.hybrid.active);
     EXPECT_EQ(built.hybrid.budget_bytes, r.mem_budget_bytes);
     EXPECT_EQ(built.config.device_pool_bytes, r.device_pool_bytes);
-    EXPECT_EQ(built.config.calibration_path, r.calibration_path);
     EXPECT_EQ(built.config.tier_path, r.tier_path);
     EXPECT_DOUBLE_EQ(built.config.tier_bandwidth_bytes_per_s,
                      r.tier_bandwidth_bytes_per_s);
