@@ -117,6 +117,39 @@ buildSchedule(Graph &graph, const GistConfig &config)
         }
     }
 
+    // A Dense-mode max-pool's input and output must carry one value
+    // rounding: exact FP32 (Dense, or CSR with FP32 values), CSR's value
+    // format, or DPR's format. Where a pair's roundings differ, its
+    // lossy side is stored Dense. A map can belong to several pairs, so
+    // repeat until no pair changes.
+    const auto rounding = [&](NodeId id) {
+        const StashPlan::Repr repr =
+            built.decisions[static_cast<size_t>(id)].repr;
+        if (repr == StashPlan::Repr::Csr)
+            return config.csr.value_format;
+        if (repr == StashPlan::Repr::Dpr)
+            return config.dpr_format;
+        return DprFormat::Fp32;
+    };
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (const auto &node : graph.nodes()) {
+            const auto *pool =
+                dynamic_cast<const MaxPoolLayer *>(node.layer.get());
+            if (!pool ||
+                pool->stashMode() != MaxPoolLayer::StashMode::Dense ||
+                rounding(node.id) == rounding(node.inputs[0]))
+                continue;
+            for (const NodeId id : { node.id, node.inputs[0] }) {
+                if (rounding(id) != DprFormat::Fp32) {
+                    built.decisions[static_cast<size_t>(id)].repr =
+                        StashPlan::Repr::Dense;
+                    changed = true;
+                }
+            }
+        }
+    }
+
     // Inplace ReLU: the output may overwrite its producer's buffer when
     // the producer's map is immediately consumed and feeds only this ReLU.
     if (config.inplace_relu) {

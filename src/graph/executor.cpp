@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "memory/arena.hpp"
+#include "memory/heap_policy.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
@@ -66,6 +67,7 @@ Executor::Executor(Graph &graph)
       states(static_cast<size_t>(graph.numNodes())),
       mem_accounts(new SlotAccount[static_cast<size_t>(graph.numNodes())])
 {
+    keepFreedHeapMapped();
     for (std::int64_t i = 0; i < graph_.numNodes(); ++i)
         states[static_cast<size_t>(i)].value = Tensor::placeholder(
             graph_.node(static_cast<NodeId>(i)).out_shape);

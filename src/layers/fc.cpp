@@ -71,10 +71,11 @@ FcLayer::forward(const FwdCtx &ctx)
     gemm(false, true, batch, out_features, in_features, 1.0f, x.data(),
          weight.data(), 0.0f, y.data());
     if (has_bias) {
+        const float *bias = bias_.data();
         for (std::int64_t r = 0; r < batch; ++r) {
             float *row = y.data() + r * out_features;
             for (std::int64_t c = 0; c < out_features; ++c)
-                row[c] += bias_.at(c);
+                row[c] += bias[c];
         }
     }
 }
@@ -109,10 +110,11 @@ FcLayer::backward(const BwdCtx &ctx)
     }
     if (has_bias) {
         d_bias.setZero();
+        float *db = d_bias.data();
         for (std::int64_t r = 0; r < batch; ++r) {
             const float *row = dy.data() + r * out_features;
             for (std::int64_t c = 0; c < out_features; ++c)
-                d_bias.at(c) += row[c];
+                db[c] += row[c];
         }
     }
     if (Tensor *dx = ctx.d_inputs[0]) {

@@ -329,6 +329,7 @@ AvgPoolLayer::forward(const FwdCtx &ctx)
     const std::int64_t out_h = g.outH();
     const std::int64_t out_w = g.outW();
 
+    float *yd = y.data();
     std::int64_t out_idx = 0;
     for (std::int64_t n = 0; n < batch; ++n) {
         for (std::int64_t c = 0; c < channels; ++c) {
@@ -353,7 +354,7 @@ AvgPoolLayer::forward(const FwdCtx &ctx)
                             ++count;
                         }
                     }
-                    y.at(out_idx) =
+                    yd[out_idx] =
                         count ? sum / static_cast<float>(count) : 0.0f;
                 }
             }
@@ -375,6 +376,7 @@ AvgPoolLayer::backward(const BwdCtx &ctx)
     const std::int64_t out_h = g.outH();
     const std::int64_t out_w = g.outW();
 
+    const float *dyd = dy.data();
     std::int64_t out_idx = 0;
     for (std::int64_t n = 0; n < batch; ++n) {
         for (std::int64_t c = 0; c < channels; ++c) {
@@ -400,7 +402,7 @@ AvgPoolLayer::backward(const BwdCtx &ctx)
                     if (!count)
                         continue;
                     const float share =
-                        dy.at(out_idx) / static_cast<float>(count);
+                        dyd[out_idx] / static_cast<float>(count);
                     for (std::int64_t kh = 0; kh < spec_.kernel_h; ++kh) {
                         const std::int64_t ih =
                             oh * g.stride_h - g.pad_h + kh;

@@ -72,9 +72,11 @@ Trainer::clipGradients(float max_norm)
 {
     double norm_sq = 0.0;
     auto grads = allParamGrads(exec.graph());
-    for (Tensor *g : grads)
+    for (Tensor *g : grads) {
+        const float *gd = g->data();
         for (std::int64_t i = 0; i < g->numel(); ++i)
-            norm_sq += double(g->at(i)) * double(g->at(i));
+            norm_sq += double(gd[i]) * double(gd[i]);
+    }
     const double norm = std::sqrt(norm_sq);
     if (norm <= max_norm || norm == 0.0)
         return;

@@ -4,14 +4,25 @@
  * paper's lifetime story says: immediate fmaps die at their last forward
  * use, encoded stashes replace FP32 payloads during the temporal gap,
  * everything is freed after its backward use, and the encoded byte
- * counts agree with the planner's analytic model.
+ * counts agree with the planner's analytic model. And that the memory a
+ * step frees stays mapped for the next one: warm steps of the training
+ * benchmark's three configurations take no page faults.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "core/gist.hpp"
 #include "models/builder.hpp"
 #include "models/tiny.hpp"
+#include "train/dataset.hpp"
+#include "train/trainer.hpp"
 #include "util/rng.hpp"
 
 namespace gist {
@@ -154,6 +165,127 @@ TEST(ExecutorMemory, ForwardOnlyKeepsEverythingMaterialized)
     rig.exec->forwardOnly(batch);
     for (NodeId id = 0; id < rig.g.numNodes(); ++id)
         EXPECT_NO_FATAL_FAILURE((void)rig.exec->value(id));
+}
+
+// A sanitizer's allocator ignores the heap policy (and maps its own
+// shadow memory), so its fault counts say nothing about the executor.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr const char *kHeapPolicyUnmeasurable =
+    "a sanitizer owns the allocator";
+#elif !defined(__GLIBC__)
+constexpr const char *kHeapPolicyUnmeasurable =
+    "the heap policy is set on glibc only";
+#else
+constexpr const char *kHeapPolicyUnmeasurable = nullptr;
+#endif
+
+/**
+ * Minor page faults taken by each of 20 warm training steps (after 5
+ * warm-up steps) of a tiny model at the training benchmark's batch,
+ * learning rate and clip. The configs below are the benchmark's three
+ * workloads (perfbench/perfbench.cpp, workloads()).
+ */
+std::vector<long>
+warmStepFaults(const std::string &model, const GistConfig &cfg)
+{
+    constexpr std::int64_t kBatch = 32;
+    constexpr int kWarmSteps = 5;
+    constexpr int kMeasuredSteps = 20;
+    const models::ModelEntry *entry = nullptr;
+    for (const auto &e : models::tinyModels())
+        if (e.name == model)
+            entry = &e;
+    if (!entry) {
+        ADD_FAILURE() << "no tiny model " << model;
+        return {};
+    }
+    Graph g = entry->build(kBatch);
+    Rng rng(7);
+    g.initParams(rng);
+    const BuiltSchedule schedule = buildSchedule(g, cfg);
+    Executor exec(g);
+    applyToExecutor(schedule, exec);
+    Trainer trainer(exec);
+    SyntheticDataset::Spec spec;
+    spec.num_train = kBatch * (kWarmSteps + kMeasuredSteps);
+    spec.num_eval = 0;
+    spec.classes = models::kTinyClasses;
+    spec.channels = models::kTinyChannels;
+    spec.image = models::kTinyImage;
+    const SyntheticDataset data(spec);
+    TrainConfig tc;
+    tc.batch_size = kBatch;
+    tc.epochs = 1;
+    tc.learning_rate = 0.02f;
+    tc.clip_grad_norm = 5.0f;
+    tc.num_threads = cfg.num_threads;
+    TrainLoop loop(trainer, data, tc);
+    for (int i = 0; i < kWarmSteps; ++i)
+        EXPECT_TRUE(loop.step());
+    std::vector<long> faults;
+    for (int i = 0; i < kMeasuredSteps; ++i) {
+        rusage before{};
+        getrusage(RUSAGE_SELF, &before);
+        EXPECT_TRUE(loop.step());
+        rusage after{};
+        getrusage(RUSAGE_SELF, &after);
+        faults.push_back(after.ru_minflt - before.ru_minflt);
+    }
+    return faults;
+}
+
+/**
+ * Asserts that the median warm step takes at most one fault. Pool and
+ * codec threads claim work dynamically, each with its own heap arena,
+ * so on a loaded host a thread can first meet its largest share of a
+ * step late and raise its high water once; that spoils one step's
+ * count, while memory that is given back and faulted in again every
+ * step shows in most of them.
+ */
+void
+expectWarmStepsFaultFree(const std::vector<long> &faults)
+{
+    ASSERT_FALSE(faults.empty());
+    std::vector<long> sorted = faults;
+    std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
+                     sorted.end());
+    std::string all;
+    for (long f : faults)
+        all += std::to_string(f) + " ";
+    EXPECT_LE(sorted[sorted.size() / 2], 1) << "faults per step: " << all;
+}
+
+TEST(ExecutorMemory, WarmLosslessVggStepTakesNoPageFaults)
+{
+    if (kHeapPolicyUnmeasurable)
+        GTEST_SKIP() << kHeapPolicyUnmeasurable;
+    GistConfig cfg = GistConfig::lossless();
+    cfg.elide_decode_buffer = true;
+    cfg.num_threads = 1;
+    expectWarmStepsFaultFree(warmStepFaults("VGG16", cfg));
+}
+
+TEST(ExecutorMemory, WarmHybridResnetStepTakesNoPageFaults)
+{
+    if (kHeapPolicyUnmeasurable)
+        GTEST_SKIP() << kHeapPolicyUnmeasurable;
+    GistConfig cfg = GistConfig::lossy(DprFormat::Fp16);
+    cfg.mem_budget_bytes = 3400000;
+    cfg.num_threads = 2;
+    expectWarmStepsFaultFree(warmStepFaults("ResNet", cfg));
+}
+
+TEST(ExecutorMemory, WarmTieredInceptionStepTakesNoPageFaults)
+{
+    if (kHeapPolicyUnmeasurable)
+        GTEST_SKIP() << kHeapPolicyUnmeasurable;
+    GistConfig cfg = GistConfig::lossy(DprFormat::Fp16);
+    cfg.async_codec = true;
+    cfg.codec_threads = 1;
+    cfg.num_threads = 1;
+    cfg.device_pool_bytes = 393216;
+    cfg.tier_bandwidth_bytes_per_s = 1e9;
+    expectWarmStepsFaultFree(warmStepFaults("Inception", cfg));
 }
 
 } // namespace
