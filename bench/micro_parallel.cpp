@@ -1,12 +1,14 @@
 /**
  * @file
- * Scaling microbenchmark for the parallel hot paths: gemm, im2col,
- * binarize, CSR encode/decode, DPR encode/decode. For each path it
+ * Scaling microbenchmark for the parallel hot paths: gemm, the tiny
+ * VGG16 convolutions, im2col, binarize, CSR encode/decode, DPR
+ * encode/decode. For each path it
  * measures throughput at 1 thread and at the requested pool size,
  * reports the rate (GB/s; GFLOP/s for the GEMM rows) and the speedup,
  * and verifies that the multi-threaded output is bitwise-identical to
  * the single-threaded one (the determinism contract of
- * util/parallel.hpp).
+ * util/parallel.hpp). The tiny-VGG conv rows also memcmp their output
+ * against the explicit im2col + gemm lowering (parity-ok).
  *
  * Usage: micro_parallel [threads] [--json <path>]
  *   threads   pool size for the "parallel" arm (default: auto — the
@@ -230,6 +232,135 @@ main(int argc, char **argv)
                                      static_cast<float *>(out));
                 },
                 "GFLOP/s");
+    }
+
+    // --- the six convs of tinyVgg (3x3, pad 1, stride 1) at batch 32:
+    //     forward through gemmConv, dX through gemmConvDx, dW through
+    //     gemmConvDw in the 9-image tiles conv backward decodes. Each
+    //     row's output must equal the im2col + gemm lowering bit for
+    //     bit; dX's is the forward conv of dY with the flipped,
+    //     transposed weights, whose chain order gemmConvDx follows. ---
+    {
+        struct VggConv
+        {
+            std::int64_t in_c, size, out_c;
+        };
+        const VggConv convs[] = { { 3, 16, 16 },  { 16, 16, 16 },
+                                  { 16, 8, 32 },  { 32, 8, 32 },
+                                  { 32, 4, 48 },  { 48, 4, 48 } };
+        const std::int64_t batch = 32;
+        const std::int64_t dw_tile = 9;
+        struct Layer
+        {
+            gist::ConvGeometry g, flip;
+            std::int64_t out_c, k, p, image;
+            std::vector<float> w, w_flip, x, dy;
+            size_t y_at, dx_at, dw_at;
+        };
+        std::vector<Layer> layers;
+        size_t y_floats = 0, dx_floats = 0, dw_floats = 0;
+        double flops = 0.0;
+        std::uint64_t seed = 20;
+        for (const VggConv &c : convs) {
+            Layer l;
+            l.g.in_c = c.in_c;
+            l.g.in_h = l.g.in_w = c.size;
+            l.g.kernel_h = l.g.kernel_w = 3;
+            l.g.pad_h = l.g.pad_w = 1;
+            l.flip = l.g;
+            l.flip.in_c = c.out_c;
+            l.out_c = c.out_c;
+            l.k = l.g.colRows();
+            l.p = l.g.colCols();
+            l.image = c.in_c * c.size * c.size;
+            l.w = randomDense(c.out_c * l.k, seed++);
+            // W'[c][(oc, a, b)] = W[oc][c][2 - a][2 - b].
+            l.w_flip.resize(l.w.size());
+            for (std::int64_t oc = 0; oc < c.out_c; ++oc)
+                for (std::int64_t ic = 0; ic < c.in_c; ++ic)
+                    for (std::int64_t t = 0; t < 9; ++t)
+                        l.w_flip[static_cast<size_t>(
+                            (ic * c.out_c + oc) * 9 + t)] =
+                            l.w[static_cast<size_t>((oc * c.in_c + ic) * 9 +
+                                                    8 - t)];
+            l.x = randomDense(batch * l.image, seed++);
+            sparsify(l.x, 0.5, seed++);
+            l.dy = randomDense(batch * c.out_c * l.p, seed++);
+            l.y_at = y_floats;
+            l.dx_at = dx_floats;
+            l.dw_at = dw_floats;
+            y_floats += static_cast<size_t>(batch * c.out_c * l.p);
+            dx_floats += static_cast<size_t>(batch * l.image);
+            dw_floats += static_cast<size_t>(c.out_c * l.k);
+            flops += 2.0 * static_cast<double>(c.out_c * l.k * l.p * batch);
+            layers.push_back(std::move(l));
+        }
+        const auto fwd = [&](float *y) {
+            for (const Layer &l : layers)
+                gist::gemmConv(l.g, batch, l.out_c, l.w.data(), l.x.data(),
+                               y + l.y_at);
+        };
+        const auto dx = [&](float *out) {
+            std::memset(out, 0, dx_floats * sizeof(float));
+            for (const Layer &l : layers)
+                gist::gemmConvDx(l.g, batch, l.out_c, l.w.data(),
+                                 l.dy.data(), out + l.dx_at);
+        };
+        const auto dw = [&](float *out) {
+            std::memset(out, 0, dw_floats * sizeof(float));
+            for (const Layer &l : layers)
+                for (std::int64_t t0 = 0; t0 < batch; t0 += dw_tile) {
+                    const std::int64_t n = std::min(dw_tile, batch - t0);
+                    gist::gemmConvDw(l.g, n, l.out_c,
+                                     l.dy.data() + t0 * l.out_c * l.p,
+                                     l.x.data() + t0 * l.image,
+                                     out + l.dw_at);
+                }
+        };
+        // The lowering, image by image, through one column buffer.
+        std::vector<float> want_y(y_floats), want_dx(dx_floats, 0.0f),
+            want_dw(dw_floats, 0.0f), col;
+        for (const Layer &l : layers) {
+            col.resize(static_cast<size_t>(std::max(
+                l.k * l.p, l.out_c * 9 * l.p)));
+            for (std::int64_t img = 0; img < batch; ++img) {
+                const float *x_img = l.x.data() + img * l.image;
+                const float *dy_img = l.dy.data() + img * l.out_c * l.p;
+                gist::im2col(l.g, x_img, col.data());
+                gist::gemm(false, false, l.out_c, l.p, l.k, 1.0f, l.w.data(),
+                           col.data(), 0.0f,
+                           want_y.data() + l.y_at + img * l.out_c * l.p);
+                gist::gemm(false, true, l.out_c, l.k, l.p, 1.0f, dy_img,
+                           col.data(), 1.0f, want_dw.data() + l.dw_at);
+                gist::im2col(l.flip, dy_img, col.data());
+                gist::gemm(false, false, l.g.in_c, l.p, l.out_c * 9, 1.0f,
+                           l.w_flip.data(), col.data(), 1.0f,
+                           want_dx.data() + l.dx_at + img * l.image);
+            }
+        }
+        struct ConvRow
+        {
+            const char *name;
+            std::function<void(float *)> run;
+            const std::vector<float> &want;
+        };
+        const ConvRow rows[] = { { "tiny_vgg_conv_fwd", fwd, want_y },
+                                 { "tiny_vgg_conv_dx", dx, want_dx },
+                                 { "tiny_vgg_conv_dw", dw, want_dw } };
+        for (const ConvRow &r : rows) {
+            const size_t bytes = r.want.size() * sizeof(float);
+            runPath(r.name, par, flops, bytes,
+                    [&](void *out) { r.run(static_cast<float *>(out)); },
+                    "GFLOP/s");
+            std::vector<float> got(r.want.size());
+            gist::setNumThreads(1);
+            r.run(got.data());
+            const bool same = std::memcmp(got.data(), r.want.data(), bytes) == 0;
+            std::printf("%-24s %s against im2col + gemm\n", r.name,
+                        same ? "parity-ok" : "PARITY-MISMATCH");
+            g_results.back().bitwise_identical =
+                g_results.back().bitwise_identical && same;
+        }
     }
 
     // --- im2col (VGG-ish 3x3 conv geometry) ---

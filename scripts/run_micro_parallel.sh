@@ -3,7 +3,8 @@
 # backend microbenchmark (micro_simd) and record their JSON so both
 # trajectories can be tracked across PRs. Each run is appended (one
 # compact JSON object per line, stamped with commit and UTC date) to a
-# trajectory file at the repo root; micro_simd records carry
+# trajectory file at the repo root (the commit reads <sha>-dirty when
+# src/ or bench/ differ from it); micro_simd records carry
 # "bench":"micro_simd" to distinguish them from the scaling records.
 #
 # Usage: scripts/run_micro_parallel.sh [build-dir] [threads] [out.json] [trajectory]
@@ -39,6 +40,11 @@ fi
 
 if command -v python3 >/dev/null 2>&1; then
     commit="$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+    # Built from uncommitted changes: say so rather than claim HEAD.
+    if [ "$commit" != unknown ] &&
+        ! git -C "$repo_root" diff --quiet HEAD -- src bench 2>/dev/null; then
+        commit="$commit-dirty"
+    fi
     out="$out" simd_out="$simd_out" trajectory="$trajectory" \
         commit="$commit" python3 - <<'EOF'
 import json, os, datetime

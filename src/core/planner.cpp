@@ -5,7 +5,7 @@
 
 #include "layers/conv.hpp"
 #include "perf/gpu_model.hpp"
-#include "tensor/im2col.hpp"
+#include "tensor/gemm.hpp"
 #include "util/logging.hpp"
 
 namespace gist {
@@ -274,57 +274,66 @@ planModel(Graph &graph, const GistConfig &config,
 
 namespace {
 
-std::string
-gemmKey(std::int64_t m, std::int64_t n, std::int64_t k)
+/** Add @p calls calls of (@p kernel, @p shape) to @p out, merged into
+ *  the row with the same keys when there is one. */
+void
+addShape(std::vector<KernelShape> &out, const char *kernel,
+         const char *shape, std::uint64_t work, std::uint64_t calls)
 {
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "m=%lld,n=%lld,k=%lld",
-                  static_cast<long long>(m), static_cast<long long>(n),
-                  static_cast<long long>(k));
-    return buf;
+    for (KernelShape &ks : out) {
+        if (ks.kernel == kernel && ks.shape == shape) {
+            ks.calls += calls;
+            return;
+        }
+    }
+    out.push_back({ kernel, shape, work, calls });
 }
 
-/** Bytes one m x n x k GEMM touches (A + B + C, fp32). */
-std::uint64_t
-gemmBytes(std::int64_t m, std::int64_t n, std::int64_t k)
+/** Add @p calls calls of an m x n x k GEMM; one call moves A + B + C
+ *  (fp32). */
+void
+addGemm(std::vector<KernelShape> &out, std::int64_t m, std::int64_t n,
+        std::int64_t k, std::uint64_t calls)
 {
-    return 4ull * static_cast<std::uint64_t>(m * k + k * n + m * n);
+    char key[96];
+    std::snprintf(key, sizeof key, "m=%lld,n=%lld,k=%lld",
+                  static_cast<long long>(m), static_cast<long long>(n),
+                  static_cast<long long>(k));
+    addShape(out, "gemm", key,
+             4ull * static_cast<std::uint64_t>(m * k + k * n + m * n), calls);
 }
 
 } // namespace
 
-std::vector<KernelShape>
+// Cold: perfbench calls it once per traced run, off the step path.
+[[gnu::cold]] std::vector<KernelShape>
 collectKernelShapes(const Graph &graph, const BuiltSchedule &schedule)
 {
     const ScheduleInfo sched(graph);
     std::vector<KernelShape> out;
-    const auto add = [&out](std::string kernel, std::string shape,
-                            std::uint64_t work, std::uint64_t calls) {
-        for (KernelShape &ks : out) {
-            if (ks.kernel == kernel && ks.shape == shape) {
-                ks.calls += calls;
-                return;
-            }
+    // The codec slot @p id's stash runs: Recompute stores nothing (no
+    // codec), Swap runs its transfer codec when the transfer is
+    // compressed.
+    const auto codecOf = [&schedule](NodeId id) {
+        const ScheduleDecision &d = schedule.of(id);
+        switch (d.repr) {
+        case StashPlan::Repr::Csr:
+            return StashPlan::SwapCodec::Csr;
+        case StashPlan::Repr::Dpr:
+            return StashPlan::SwapCodec::Dpr;
+        case StashPlan::Repr::Swap:
+            return swapCodecFor(schedule.config, d);
+        default:
+            return StashPlan::SwapCodec::None;
         }
-        out.push_back(
-            { std::move(kernel), std::move(shape), work, calls });
     };
-
     for (const auto &node : graph.nodes()) {
         const NodeId id = node.id;
-        const auto &decision = schedule.of(id);
 
         // ---- Codec kernels: one encode + one decode per encoded stash.
-        // Recompute stores nothing (no codec); Swap runs the transfer
-        // codec's encode/decode when the transfer is compressed.
-        bool emit_csr = decision.repr == StashPlan::Repr::Csr;
-        bool emit_dpr = decision.repr == StashPlan::Repr::Dpr;
-        if (decision.repr == StashPlan::Repr::Swap) {
-            const StashPlan::SwapCodec codec =
-                swapCodecFor(schedule.config, decision);
-            emit_csr = codec == StashPlan::SwapCodec::Csr;
-            emit_dpr = codec == StashPlan::SwapCodec::Dpr;
-        }
+        const StashPlan::SwapCodec codec = codecOf(id);
+        const bool emit_csr = codec == StashPlan::SwapCodec::Csr;
+        const bool emit_dpr = codec == StashPlan::SwapCodec::Dpr;
         if (sched.stashed(id) && (emit_csr || emit_dpr)) {
             const std::int64_t numel = node.out_shape.numel();
             const std::uint64_t fp32 =
@@ -333,67 +342,68 @@ collectKernelShapes(const Graph &graph, const BuiltSchedule &schedule)
             if (emit_csr) {
                 std::snprintf(key, sizeof key, "numel=%lld",
                               static_cast<long long>(numel));
-                add("csr_encode", key, fp32, 1);
-                add("csr_decode", key, fp32, 1);
+                addShape(out, "csr_encode", key, fp32, 1);
+                addShape(out, "csr_decode", key, fp32, 1);
             } else {
                 std::snprintf(key, sizeof key, "fmt=%s,numel=%lld",
                               dprFormatName(schedule.config.dpr_format),
                               static_cast<long long>(numel));
-                add("dpr_encode", key, fp32, 1);
-                add("dpr_decode", key, fp32, 1);
+                addShape(out, "dpr_encode", key, fp32, 1);
+                addShape(out, "dpr_decode", key, fp32, 1);
             }
         }
 
-        // ---- Compute kernels at the schedule's shapes.
+        // ---- Compute kernels: the GEMMs the layers run, at their
+        // (m, n, k).
         if (node.kind() == LayerKind::Conv) {
             const auto *conv =
                 static_cast<const ConvLayer *>(node.layer.get());
-            const ConvSpec &spec = conv->spec();
-            const Shape &in = graph.node(node.inputs[0]).out_shape;
-            const ConvGeometry g{ in.c(),        in.h(),
-                                  in.w(),        spec.kernel_h,
-                                  spec.kernel_w, spec.stride_h,
-                                  spec.stride_w, spec.pad_h,
-                                  spec.pad_w };
-            const auto batch = static_cast<std::uint64_t>(in.n());
-            const std::int64_t m = spec.out_channels;
-            const std::int64_t n = g.colCols();
+            const NodeId in_id = node.inputs[0];
+            const Shape &in = graph.node(in_id).out_shape;
+            const ConvGeometry g = conv->geometry(in);
+            const std::int64_t batch = in.n();
+            const std::int64_t out_c = conv->spec().out_channels;
             const std::int64_t k = g.colRows();
-            char key[160];
-            std::snprintf(key, sizeof key,
-                          "c=%lld,h=%lld,w=%lld,kh=%lld,kw=%lld,"
-                          "sh=%lld,sw=%lld,ph=%lld,pw=%lld",
-                          static_cast<long long>(in.c()),
-                          static_cast<long long>(in.h()),
-                          static_cast<long long>(in.w()),
-                          static_cast<long long>(spec.kernel_h),
-                          static_cast<long long>(spec.kernel_w),
-                          static_cast<long long>(spec.stride_h),
-                          static_cast<long long>(spec.stride_w),
-                          static_cast<long long>(spec.pad_h),
-                          static_cast<long long>(spec.pad_w));
-            add("im2col", key,
-                4ull * static_cast<std::uint64_t>(
-                           in.c() * in.h() * in.w() + k * n),
-                batch);
-            // Forward Y = W * cols, backward dW = dY * cols^T and
-            // dcols = W^T * dY — one GEMM per image each.
-            add("gemm", gemmKey(m, n, k), gemmBytes(m, n, k), batch);
-            add("gemm", gemmKey(m, k, n), gemmBytes(m, k, n), batch);
-            add("gemm", gemmKey(k, n, m), gemmBytes(k, n, m), batch);
+            const std::int64_t p = g.colCols();
+            // Forward: one GEMM over the batch (gemmConv).
+            addGemm(out, out_c, batch * p, k, 1);
+            // dX, unless the input is the network's: one GEMM per
+            // sub-pixel phase (gemmConvDx).
+            if (graph.node(in_id).kind() != LayerKind::Input)
+                for (std::int64_t rh = 0; rh < g.stride_h; ++rh)
+                    for (std::int64_t rw = 0; rw < g.stride_w; ++rw) {
+                        const PhaseAxis ph = phaseAxis(
+                            rh, g.stride_h, g.pad_h, g.kernel_h, g.in_h);
+                        const PhaseAxis pw = phaseAxis(
+                            rw, g.stride_w, g.pad_w, g.kernel_w, g.in_w);
+                        const std::int64_t n = batch * ph.size * pw.size;
+                        const std::int64_t taps = ph.taps * pw.taps;
+                        if (n > 0 && taps > 0)
+                            addGemm(out, g.in_c, n, out_c * taps, 1);
+                    }
+            // dW: the whole batch when X is read dense, else one GEMM
+            // per decode tile of an encoded stash (gemmConvDw).
+            const std::int64_t tile =
+                schedule.config.elide_decode_buffer &&
+                        codecOf(in_id) != StashPlan::SwapCodec::None
+                    ? std::min(batch, ConvLayer::decodeTileImages(g))
+                    : batch;
+            addGemm(out, out_c, k, tile * p,
+                    static_cast<std::uint64_t>(batch / tile));
+            if (batch % tile != 0)
+                addGemm(out, out_c, k, batch % tile * p, 1);
         } else if (node.kind() == LayerKind::Fc) {
-            const Shape &in = graph.node(node.inputs[0]).out_shape;
-            const std::int64_t batch = in.dim(0);
-            const std::int64_t in_f = in.numel() / batch;
+            const Node &in = graph.node(node.inputs[0]);
+            const std::int64_t batch = in.out_shape.dim(0);
+            const std::int64_t in_f = in.out_shape.numel() / batch;
             const std::int64_t out_f = node.out_shape.numel() / batch;
-            // Forward Y = X * W^T, backward dX = dY * W and
-            // dW = dY^T * X — whole-batch GEMMs.
-            add("gemm", gemmKey(batch, out_f, in_f),
-                gemmBytes(batch, out_f, in_f), 1);
-            add("gemm", gemmKey(batch, in_f, out_f),
-                gemmBytes(batch, in_f, out_f), 1);
-            add("gemm", gemmKey(out_f, in_f, batch),
-                gemmBytes(out_f, in_f, batch), 1);
+            // Forward Y = X * W^T, backward dX = dY * W (unless the
+            // input is the network's) and dW = dY^T * X — whole-batch
+            // GEMMs.
+            addGemm(out, batch, out_f, in_f, 1);
+            if (in.kind() != LayerKind::Input)
+                addGemm(out, batch, in_f, out_f, 1);
+            addGemm(out, out_f, in_f, batch, 1);
         }
     }
     return out;

@@ -80,12 +80,14 @@ struct KernelShape
 
 /**
  * Enumerate the kernel shapes one minibatch of @p graph dispatches under
- * @p schedule: per-image conv im2col + forward/backward GEMMs, per-node
- * FC GEMMs, and one encode + one decode per encoded stash slot. Shapes
- * with identical (kernel, shape) keys are merged with summed calls.
- * The conv entries describe the per-image im2col lowering, which no
- * layer runs any more (conv is an implicit GEMM), so the replay times
- * kernels a training step does not dispatch.
+ * @p schedule: one "gemm" row per GEMM a layer runs, at its (m, n, k) —
+ * a conv's forward over the batch, each of its dX sub-pixel phases
+ * (none when its input is the network's), and its dW over the batch or
+ * per decode tile of an encoded stash (ConvLayer::decodeTileImages()),
+ * an FC layer's three whole-batch GEMMs — and one encode + one decode
+ * per encoded stash slot. No row names im2col or col2im: no step runs
+ * them. Shapes with identical (kernel, shape) keys are merged with
+ * summed calls.
  */
 std::vector<KernelShape> collectKernelShapes(const Graph &graph,
                                              const BuiltSchedule &schedule);

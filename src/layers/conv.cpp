@@ -76,6 +76,13 @@ ConvLayer::geometry(const Shape &in) const
     return g;
 }
 
+std::int64_t
+ConvLayer::decodeTileImages(const ConvGeometry &g)
+{
+    const std::int64_t image = g.in_c * g.in_h * g.in_w;
+    return std::max(g.colRows() * g.colCols(), image) / image;
+}
+
 Shape
 ConvLayer::outputShape(std::span<const Shape> in) const
 {
@@ -182,16 +189,14 @@ ConvLayer::backward(const BwdCtx &ctx)
         gemmConvDx(g, batch, out_c, weight.data(), dy.data(), dx->data());
 
     // "Optimized software" (paper Section V-H): an encoded stash is
-    // decoded one tile of images at a time, never to a full FP32
-    // buffer. The tile buffer holds k * p floats (at least one image),
-    // the workspace the planner charges a conv, so the tile size is
-    // fixed by the geometry: 9 images for a 3x3 stride-1 conv, 1 for a
-    // 1x1. A dense X is read in place, the whole batch as one tile.
+    // decoded one tile of images at a time (decodeTileImages()) into a
+    // buffer of k * p floats, never to a full FP32 buffer. A dense X is
+    // read in place, the whole batch as one tile.
     const bool decode = !x;
-    const std::int64_t buf_elems = std::max(k * p, image_elems);
-    const std::int64_t tile = decode ? buf_elems / image_elems : batch;
+    const std::int64_t tile = decode ? decodeTileImages(g) : batch;
     ArenaScope scope;
-    float *buf = decode ? scope.alloc<float>(static_cast<size_t>(buf_elems))
+    float *buf = decode ? scope.alloc<float>(static_cast<size_t>(
+                              std::max(k * p, image_elems)))
                         : nullptr;
     for (std::int64_t t0 = 0; t0 < batch; t0 += tile) {
         const std::int64_t t1 = std::min(batch, t0 + tile);

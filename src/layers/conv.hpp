@@ -60,9 +60,18 @@ class ConvLayer : public Layer
     const ConvSpec &spec() const { return spec_; }
     std::int64_t inChannels() const { return in_c; }
 
-  private:
+    /** Geometry of this conv on input @p in (NCHW). */
     ConvGeometry geometry(const Shape &in) const;
 
+    /**
+     * Images per gemmConvDw() call when backward reads an encoded
+     * stashed input of geometry @p g: the tile decodes into a buffer of
+     * k * p floats, the workspace the planner charges, which holds at
+     * least one image (9 for a 3x3 stride-1 conv, 1 for a 1x1).
+     */
+    static std::int64_t decodeTileImages(const ConvGeometry &g);
+
+  private:
     std::int64_t in_c;
     Shape last_in_shape; ///< remembered by forward for chunked backward
     ConvSpec spec_;

@@ -90,6 +90,53 @@ sectionTopSpans(const JsonValue &trace, int top_k, std::ostringstream &out)
 }
 
 /**
+ * GEMM throughput by kind: the GEMM entry points name their spans
+ * "gemm [<kind> ]<m>x<n>x<k>" (tensor/gemm.cpp), so each span did 2 * m
+ * * n * k flops in its duration. Kinds: conv (forward), conv-dx (one
+ * span per sub-pixel phase), conv-dw, packed-b, and plain gemm.
+ */
+void
+sectionGemm(const JsonValue &trace, std::ostringstream &out)
+{
+    const JsonValue *events = trace.get("traceEvents");
+    if (!events || !events->isArray()) {
+        out << "  (no traceEvents array)\n";
+        return;
+    }
+    struct KindAgg
+    {
+        double ms = 0.0, flops = 0.0;
+        std::uint64_t calls = 0;
+    };
+    std::map<std::string, KindAgg> by_kind;
+    for (const JsonValue &e : events->items()) {
+        const std::string name = e.stringOr("name", "");
+        if (e.stringOr("ph", "") != "X" || name.rfind("gemm ", 0) != 0)
+            continue;
+        const size_t dims = name.rfind(' ');
+        long long m = 0, n = 0, k = 0;
+        if (std::sscanf(name.c_str() + dims + 1, "%lldx%lldx%lld", &m, &n,
+                        &k) != 3)
+            continue;
+        KindAgg &agg = by_kind[dims > 4 ? name.substr(5, dims - 5) : "gemm"];
+        agg.ms += e.numberOr("dur", 0.0) / 1e3;
+        agg.flops += 2.0 * static_cast<double>(m) * static_cast<double>(n) *
+                     static_cast<double>(k);
+        ++agg.calls;
+    }
+    if (by_kind.empty()) {
+        out << "  (no gemm spans)\n";
+        return;
+    }
+    out << "  kind          calls   total ms      GFLOP   GFLOP/s\n";
+    for (const auto &[kind, agg] : by_kind)
+        out << fmt("  %-10s %8llu %10.3f %10.3f %9.2f\n", kind.c_str(),
+                   static_cast<unsigned long long>(agg.calls), agg.ms,
+                   agg.flops / 1e9,
+                   agg.ms > 0.0 ? agg.flops / (agg.ms * 1e6) : 0.0);
+}
+
+/**
  * Main-thread (tid 0) fwd/bwd time per node: the executor runs the
  * schedule serially on the main thread, so these totals ARE the
  * per-node critical path; codec-worker time only matters when it
@@ -398,6 +445,12 @@ renderProfReport(const JsonValue *trace,
     out << "-- top spans by total time --\n";
     if (trace)
         sectionTopSpans(*trace, opts.top_k, out);
+    else
+        out << "  (no trace.json given)\n";
+
+    out << "\n-- GEMM throughput by kind --\n";
+    if (trace)
+        sectionGemm(*trace, out);
     else
         out << "  (no trace.json given)\n";
 

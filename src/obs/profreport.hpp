@@ -2,9 +2,10 @@
  * @file
  * Offline profile-report builder behind tools/gist_prof: joins a
  * Chrome trace JSON, a metrics JSONL and a memprof timeline JSON into
- * one human-readable text report (top-k spans, per-node critical path,
- * stall summary, peak-memory attribution). Pure functions over parsed
- * JsonValues so tests can drive them without touching the filesystem.
+ * one human-readable text report (top-k spans, GEMM GFLOP/s by kind,
+ * per-node critical path, stall summary, peak-memory attribution).
+ * Pure functions over parsed JsonValues so tests can drive them
+ * without touching the filesystem.
  */
 
 #pragma once

@@ -10,7 +10,8 @@
  *           bitwise source of truth the equivalence tests sweep against,
  *           and the only path on pre-AVX2 and non-x86 hosts;
  *   avx2    hand-written 8-wide AVX2/FMA intrinsics;
- *   avx512  avx2's table with an AVX-512F GEMM block kernel.
+ *   avx512  avx2's table with AVX-512F GEMM block and transposing-pack
+ *           kernels.
  *
  * The active backend is chosen once at first use: the GIST_SIMD
  * environment variable (scalar | avx2 | avx512) wins if set and
@@ -68,6 +69,25 @@ struct PoolScan
     std::int64_t planes;
     std::int64_t rows;
     std::int64_t cols;
+};
+
+/**
+ * The B operand of the GEMM block kernel, as a stream of kGemmNR-float
+ * rows: row p is the kGemmNR floats at base + off[p], lane j kept where
+ * bit j of mask[tap[p]] is set and read as +0 where it is clear. A
+ * cleared lane is never loaded, so it may lie outside every buffer.
+ *
+ * A packed strip is the stream off[p] = p * kGemmNR with one mask, the
+ * strip's columns. A conv window read in place (tensor/gemm.cpp) points
+ * each row into the image itself, and its per-tap masks zero the lanes
+ * that hang over the padding.
+ */
+struct BRows
+{
+    const float *base;
+    const std::int32_t *off;
+    const std::uint8_t *tap;
+    const std::uint16_t *mask;
 };
 
 /** One backend's kernel table. */
@@ -128,21 +148,31 @@ struct SimdOps
     void (*axpy)(std::int64_t n, float a, const float *x, float *y);
 
     /**
-     * GEMM block kernel: runs one packed B strip (b[p * kGemmNR + j], p
-     * in [0, kc)) down every kGemmMR-row panel of a packed A block that
-     * covers @p mc rows (panel q at a + q * kc * kGemmMR, holding
-     * a[p * kGemmMR + i]). Block row i of C starts at c + i * ldc; its
-     * first nr (<= kGemmNR) columns get the product. Each C element is
-     * one chain c = c + a * b over p ascending, started from C when
-     * @p accumulate, else from +0 (C is then never read). Panel rows >=
-     * mc and strip columns >= nr are read but never stored. How a
-     * backend walks the panels (one at a time, or several per pass)
-     * never changes a chain, so the result depends only on whether the
-     * backend fuses the multiply-add: avx2 ≡ avx512 bit for bit.
+     * GEMM block kernel: runs one B strip (the kc rows of @p b) down
+     * every kGemmMR-row panel of a packed A block that covers @p mc rows
+     * (panel q at a + q * kc * kGemmMR, holding a[p * kGemmMR + i]).
+     * Block row i of C starts at c + i * ldc; its first nr (<= kGemmNR)
+     * columns get the product. Each C element is one chain c = c + a * b
+     * over p ascending, started from C when @p accumulate, else from +0
+     * (C is then never read). Panel rows >= mc and strip lanes >= nr are
+     * computed but never stored. How a backend walks the panels (one at
+     * a time, or several per pass) or loads B (one masked load per row,
+     * or a masked copy first) never changes a chain, so the result
+     * depends only on whether the backend fuses the multiply-add: avx2 ≡
+     * avx512 bit for bit.
      */
     void (*gemmBlock)(std::int64_t kc, const float *a, std::int64_t mc,
-                      const float *b, float *c, std::int64_t ldc,
+                      const BRows &b, float *c, std::int64_t ldc,
                       std::int64_t nr, bool accumulate);
+
+    /**
+     * Transposing pack: reads kGemmNR rows of @p rows (row j, lane t)
+     * and writes dst[t * kGemmNR + j], a kGemmNR x kGemmNR block of B
+     * strip rows. Conv dW packs 16 taps x 16 consecutive positions with
+     * it. Moves bytes only: masked lanes become +0, so every backend
+     * writes the same block.
+     */
+    void (*packTransposed)(const BRows &rows, float *dst);
 
     /** Dense ReLU backward: dx[i] += y[i] > 0 ? dy[i] : +0.0f. */
     void (*reluBackward)(const float *y, const float *dy, std::int64_t n,

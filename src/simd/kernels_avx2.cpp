@@ -620,11 +620,37 @@ axpyAvx2(std::int64_t n, float a, const float *x, float *y)
         y[j] += a * x[j];
 }
 
+/** Row @p p of @p b as two 8-lane halves. A full row takes plain
+ *  loads: a masked one costs extra uops on the FMA ports, and packed
+ *  strips and the interior rows of a conv window are full. */
+struct RowHalves
+{
+    __m256 lo, hi;
+};
+
+inline RowHalves
+loadRow(const BRows &b, std::int64_t p)
+{
+    const unsigned mask = b.mask[b.tap[p]];
+    const float *row = b.base + b.off[p];
+    if (__builtin_expect(mask == 0xffffu, 1))
+        return { _mm256_loadu_ps(row), _mm256_loadu_ps(row + 8) };
+    const __m256i bits_lo = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256i bits_hi = _mm256_slli_epi32(bits_lo, 8);
+    const __m256i m = _mm256_set1_epi32(static_cast<int>(mask));
+    return { _mm256_maskload_ps(
+                 row, _mm256_cmpeq_epi32(_mm256_and_si256(m, bits_lo),
+                                         bits_lo)),
+             _mm256_maskload_ps(
+                 row + 8, _mm256_cmpeq_epi32(_mm256_and_si256(m, bits_hi),
+                                             bits_hi)) };
+}
+
 /** Full 6 x 16 tile: twelve named ymm accumulators (an array of them
- *  gets spilled to the stack every iteration), two B loads and six A
- *  broadcasts per p. */
+ *  gets spilled to the stack every iteration), two masked B loads and
+ *  six A broadcasts per p. */
 inline void
-gemmTile6x16(std::int64_t kc, const float *a, const float *b, float *c,
+gemmTile6x16(std::int64_t kc, const float *a, const BRows &b, float *c,
              std::int64_t ldc, bool accumulate)
 {
     static_assert(kGemmMR == 6 && kGemmNR == 16, "kernel is 6 x 16");
@@ -645,9 +671,10 @@ gemmTile6x16(std::int64_t kc, const float *a, const float *b, float *c,
         c50 = _mm256_loadu_ps(c + 5 * ldc);
         c51 = _mm256_loadu_ps(c + 5 * ldc + 8);
     }
-    for (std::int64_t p = 0; p < kc; ++p, a += kGemmMR, b += kGemmNR) {
-        const __m256 b0 = _mm256_loadu_ps(b);
-        const __m256 b1 = _mm256_loadu_ps(b + 8);
+    for (std::int64_t p = 0; p < kc; ++p, a += kGemmMR) {
+        const RowHalves bv = loadRow(b, p);
+        const __m256 b0 = bv.lo;
+        const __m256 b1 = bv.hi;
         __m256 av = _mm256_broadcast_ss(a);
         c00 = _mm256_fmadd_ps(av, b0, c00);
         c01 = _mm256_fmadd_ps(av, b1, c01);
@@ -683,7 +710,7 @@ gemmTile6x16(std::int64_t kc, const float *a, const float *b, float *c,
 
 /** One 6-row panel (mr <= kGemmMR rows stored) against the strip. */
 void
-gemmPanelAvx2(std::int64_t kc, const float *a, const float *b, float *c,
+gemmPanelAvx2(std::int64_t kc, const float *a, const BRows &b, float *c,
               std::int64_t ldc, std::int64_t mr, std::int64_t nr,
               bool accumulate)
 {
@@ -706,12 +733,60 @@ gemmPanelAvx2(std::int64_t kc, const float *a, const float *b, float *c,
 
 void
 gemmBlockAvx2(std::int64_t kc, const float *a, std::int64_t mc,
-              const float *b, float *c, std::int64_t ldc, std::int64_t nr,
+              const BRows &b, float *c, std::int64_t ldc, std::int64_t nr,
               bool accumulate)
 {
     for (std::int64_t i = 0; i < mc; i += kGemmMR)
         gemmPanelAvx2(kc, a + i * kc, b, c + i * ldc, ldc,
                       std::min(kGemmMR, mc - i), nr, accumulate);
+}
+
+/** In-register 8 x 8 transpose of r[0..8). */
+inline void
+transpose8x8(__m256 r[8])
+{
+    __m256 t[8];
+    for (int i = 0; i < 8; i += 2) {
+        t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+    }
+    __m256 u[8];
+    for (int i = 0; i < 8; i += 4)
+        for (int h = 0; h < 2; ++h) {
+            u[i + h] = _mm256_shuffle_ps(t[i + h], t[i + 2 + h],
+                                         _MM_SHUFFLE(1, 0, 1, 0));
+            u[i + 2 + h] = _mm256_shuffle_ps(t[i + h], t[i + 2 + h],
+                                             _MM_SHUFFLE(3, 2, 3, 2));
+        }
+    // u[0..3] hold columns 0|4, 2|6, 1|5 and 3|7 (low|high 128-bit
+    // half) of input rows 0-3; u[4..7] the same of rows 4-7.
+    const int order[4] = { 0, 2, 1, 3 };
+    for (int i = 0; i < 4; ++i) {
+        r[i] = _mm256_permute2f128_ps(u[order[i]], u[4 + order[i]], 0x20);
+        r[i + 4] =
+            _mm256_permute2f128_ps(u[order[i]], u[4 + order[i]], 0x31);
+    }
+}
+
+/** SimdOps::packTransposed as four 8 x 8 transposes: row half h of rows
+ *  [8q, 8q + 8) lands in output rows [8h, 8h + 8), columns [8q, 8q + 8). */
+void
+packTransposedAvx2(const BRows &rows, float *dst)
+{
+    for (int q = 0; q < 2; ++q) {
+        __m256 lo[8], hi[8];
+        for (int j = 0; j < 8; ++j) {
+            const RowHalves r = loadRow(rows, 8 * q + j);
+            lo[j] = r.lo;
+            hi[j] = r.hi;
+        }
+        transpose8x8(lo);
+        transpose8x8(hi);
+        for (int t = 0; t < 8; ++t) {
+            _mm256_storeu_ps(dst + t * kGemmNR + 8 * q, lo[t]);
+            _mm256_storeu_ps(dst + (8 + t) * kGemmNR + 8 * q, hi[t]);
+        }
+    }
 }
 
 } // namespace
@@ -736,6 +811,7 @@ avx2Ops()
           sfEncodeCodesAvx2<kSfFp8> },
         axpyAvx2,
         gemmBlockAvx2,
+        packTransposedAvx2,
         reluBackwardAvx2,
         maxPoolArgmaxAvx2,
         maxPoolMatchAvx2,

@@ -197,31 +197,65 @@ axpy(std::int64_t n, float a, const float *x, float *y)
         y[j] += a * x[j];
 }
 
+/** Row @p p of @p b into out[0, kGemmNR): its masked lanes as +0, never
+ *  loaded. */
+inline void
+loadRow(const BRows &b, std::int64_t p, float *out)
+{
+    const float *row = b.base + b.off[p];
+    const unsigned mask = b.mask[b.tap[p]];
+    for (std::int64_t j = 0; j < kGemmNR; ++j)
+        out[j] = mask >> j & 1u ? row[j] : 0.0f;
+}
+
 /** SimdOps::gemmBlock one C row at a time: a kGemmNR-float accumulator
  *  fits in registers where a whole MR x NR tile would spill, at the
- *  price of re-reading the L1-resident B
- *  strip per row. */
+ *  price of re-reading the L1-resident B strip per row. B is first
+ *  copied into a local strip of up to kChunk rows; a longer B runs in
+ *  chunks that carry each chain through C (a float stored and reloaded
+ *  is exact). */
 inline void
-gemmBlock(std::int64_t kc, const float *a, std::int64_t mc, const float *b,
+gemmBlock(std::int64_t kc, const float *a, std::int64_t mc, const BRows &b,
           float *c, std::int64_t ldc, std::int64_t nr, bool accumulate)
 {
-    for (std::int64_t r = 0; r < mc; ++r) {
-        // Row r is row i of panel r / kGemmMR.
-        const float *panel = a + r / kGemmMR * kc * kGemmMR;
-        const std::int64_t i = r % kGemmMR;
-        float acc[kGemmNR] = {};
-        float *c_row = c + r * ldc;
-        if (accumulate)
+    constexpr std::int64_t kChunk = 128;
+    float strip[kChunk * kGemmNR];
+    for (std::int64_t p0 = 0; p0 == 0 || p0 < kc; p0 += kChunk) {
+        const std::int64_t rows = kc - p0 < kChunk ? kc - p0 : kChunk;
+        for (std::int64_t p = 0; p < rows; ++p)
+            loadRow(b, p0 + p, strip + p * kGemmNR);
+        const bool from_c = accumulate || p0 > 0;
+        for (std::int64_t r = 0; r < mc; ++r) {
+            // Row r is row i of panel r / kGemmMR.
+            const float *panel =
+                a + r / kGemmMR * kc * kGemmMR + p0 * kGemmMR;
+            const std::int64_t i = r % kGemmMR;
+            float acc[kGemmNR] = {};
+            float *c_row = c + r * ldc;
+            if (from_c)
+                for (std::int64_t j = 0; j < nr; ++j)
+                    acc[j] = c_row[j];
+            for (std::int64_t p = 0; p < rows; ++p) {
+                const float av = panel[p * kGemmMR + i];
+                const float *b_row = strip + p * kGemmNR;
+                for (std::int64_t j = 0; j < kGemmNR; ++j)
+                    acc[j] += av * b_row[j];
+            }
             for (std::int64_t j = 0; j < nr; ++j)
-                acc[j] = c_row[j];
-        for (std::int64_t p = 0; p < kc; ++p) {
-            const float av = panel[p * kGemmMR + i];
-            const float *b_row = b + p * kGemmNR;
-            for (std::int64_t j = 0; j < kGemmNR; ++j)
-                acc[j] += av * b_row[j];
+                c_row[j] = acc[j];
         }
-        for (std::int64_t j = 0; j < nr; ++j)
-            c_row[j] = acc[j];
+    }
+}
+
+/** SimdOps::packTransposed: row j of @p rows becomes column j. */
+inline void
+packTransposed(const BRows &rows, float *dst)
+{
+    float row[kGemmNR];
+    for (std::int64_t j = 0; j < kGemmNR; ++j) {
+        loadRow(rows, j, row);
+        for (std::int64_t t = 0; t < kGemmNR; ++t)
+            dst[t * kGemmNR + j] = row[t];
     }
 }
 

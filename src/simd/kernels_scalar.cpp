@@ -38,6 +38,7 @@ scalarOps()
           k::sfEncodeCodes<kSfFp8> },
         k::axpy,
         k::gemmBlock,
+        k::packTransposed,
         k::reluBackward,
         k::maxPoolArgmax,
         k::maxPoolMatch,

@@ -1,6 +1,7 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "memory/arena.hpp"
@@ -20,10 +21,11 @@ using simd::kGemmNR;
 // panels, kGemmNR-column strips). C is cut into fixed MC x NC tiles, the
 // parallel unit, and the reduction into KC slices. Per slice a tile
 // packs its MC x KC block of op(A) once as MR-row panels, then walks its
-// NR-column strips of op(B): pack one KC x NR strip, run the block
-// kernel down every panel. That is at most MC * KC + KC * NR floats (32
-// KiB) of arena scratch per worker, plus an MC x NR bounce tile for a C
-// destination that is not a row-major block (a strided conv's dX).
+// NR-column strips of op(B): pack one KC x NR strip (or point at its
+// rows where they lie, see ConvB), run the block kernel down every
+// panel. That is at most MC * KC + KC * NR floats (32 KiB) of arena
+// scratch per worker, plus an MC x NR bounce tile for a C destination
+// that is not a row-major block (a strided conv's dX).
 constexpr std::int64_t kKC = 128;
 constexpr std::int64_t kMC = 48;
 constexpr std::int64_t kNC = 256;
@@ -36,6 +38,37 @@ static_assert(kGemmPackScratchBytes ==
 // more than such a call's whole compute (a tiny model's FC layers, and
 // its convs at small batches).
 constexpr std::int64_t kMinParallelMacs = std::int64_t{ 1 } << 21;
+
+/** Row offsets of a packed strip (row p at p * kGemmNR), the one tap
+ *  index all its rows share, and the column mask of each strip width. */
+constexpr auto kPackedOff = [] {
+    std::array<std::int32_t, kKC> off{};
+    for (std::int64_t p = 0; p < kKC; ++p)
+        off[p] = static_cast<std::int32_t>(p * kGemmNR);
+    return off;
+}();
+constexpr std::array<std::uint8_t, kKC> kPackedTap{};
+constexpr auto kColMask = [] {
+    std::array<std::uint16_t, kGemmNR + 1> mask{};
+    for (std::int64_t nr = 0; nr <= kGemmNR; ++nr)
+        mask[nr] = static_cast<std::uint16_t>((1u << nr) - 1u);
+    return mask;
+}();
+
+/** Floats of one packed B strip of a GEMM with reduction length @p k. */
+constexpr std::int64_t
+packedScratch(std::int64_t k)
+{
+    return std::min(kKC, k) * kGemmNR;
+}
+
+/** The block kernel's view of a packed strip whose first @p nr columns
+ *  hold B: the rest are never read. */
+simd::BRows
+packedRows(const float *strip, std::int64_t nr)
+{
+    return { strip, kPackedOff.data(), kPackedTap.data(), &kColMask[nr] };
+}
 
 /** C *= beta over m*n elements (beta == 0 zero-fills). */
 void
@@ -90,9 +123,11 @@ struct DenseA
 };
 
 /**
- * op(B) pack source for a dense row-major B (stored n x k when
- * @p trans): writes rows [pc, pc + kc) x columns [j0, j0 + nr) of op(B)
- * as one kc x kGemmNR strip, columns >= nr zero.
+ * op(B) source for a dense row-major B (stored n x k when @p trans):
+ * packs rows [pc, pc + kc) x columns [j0, j0 + nr) of op(B) into @p dst
+ * as one kc x kGemmNR strip. Every B source gives the block kernel its
+ * strip as simd::BRows, from per-worker scratch of packedScratch()
+ * floats unless it says otherwise (scratchFloats()).
  */
 struct DenseB
 {
@@ -100,7 +135,7 @@ struct DenseB
     bool trans;
     std::int64_t n, k;
 
-    void
+    simd::BRows
     operator()(std::int64_t pc, std::int64_t kc, std::int64_t j0,
                std::int64_t nr, float *dst) const
     {
@@ -112,13 +147,12 @@ struct DenseB
             for (std::int64_t p = 0; p < kc; ++p)
                 for (std::int64_t j = 0; j < kGemmNR; ++j)
                     dst[p * kGemmNR + j] = src[p * rs + j];
-            return;
+        } else {
+            for (std::int64_t p = 0; p < kc; ++p)
+                for (std::int64_t j = 0; j < nr; ++j)
+                    dst[p * kGemmNR + j] = src[p * rs + j * cs];
         }
-        if (nr < kGemmNR)
-            std::fill(dst, dst + kc * kGemmNR, 0.0f);
-        for (std::int64_t p = 0; p < kc; ++p)
-            for (std::int64_t j = 0; j < nr; ++j)
-                dst[p * kGemmNR + j] = src[p * rs + j * cs];
+        return packedRows(dst, nr);
     }
 };
 
@@ -139,11 +173,11 @@ struct PackedB
         fn(pc * n, buf, kc * n);
     }
 
-    void
+    simd::BRows
     operator()(std::int64_t, std::int64_t kc, std::int64_t j0,
                std::int64_t nr, float *dst) const
     {
-        DenseB{ buf, false, n, kc }(0, kc, j0, nr, dst);
+        return DenseB{ buf, false, n, kc }(0, kc, j0, nr, dst);
     }
 };
 
@@ -270,16 +304,13 @@ struct ConvImage
  * ...: element i is row @p ih, column iw0 + i * sw of the plane at
  * @p plane (an offset into x), zero where the window hangs over the
  * padding. A run wholly inside the image (the common case) is a plain
- * copy with no per-element test. @p kLen > 0 fixes the run length at
- * compile time, so full-strip fills and copies become a few vector
- * moves instead of library calls.
+ * copy with no per-element test.
  */
-template <std::int64_t kStride, std::int64_t kLen = 0>
+template <std::int64_t kStride>
 inline void
 gatherRun(ConvImage im, std::int64_t plane, std::int64_t ih,
-          std::int64_t iw0, std::int64_t run_len, float *out)
+          std::int64_t iw0, std::int64_t len, float *out)
 {
-    const std::int64_t len = kLen > 0 ? kLen : run_len;
     if (ih < 0 || ih >= im.in_h) {
         if (kStride == 1)
             std::memset(out, 0, static_cast<size_t>(len) * sizeof(float));
@@ -299,30 +330,6 @@ gatherRun(ConvImage im, std::int64_t plane, std::int64_t ih,
             for (std::int64_t i = 0; i < len; ++i)
                 out[i * kStride] = src[i * im.sw];
         return;
-    }
-    if constexpr (kStride == 1 && kLen > 2) {
-        // A "same" padding of 1 or 2 hangs the first or last taps of a
-        // full run over it: shifted fixed-length copies.
-        const std::int64_t over = iw0 + kLen - im.in_w;
-        if (im.sw == 1 && over <= 0 && iw0 >= -2) {
-            const std::int64_t lo = -iw0;
-            out[0] = 0.0f;
-            out[1] = 0.0f;
-            if (lo == 1)
-                std::memcpy(out + 1, row, (kLen - 1) * sizeof(float));
-            else
-                std::memcpy(out + 2, row, (kLen - 2) * sizeof(float));
-            return;
-        }
-        if (im.sw == 1 && iw0 >= 0 && over <= 2) {
-            out[kLen - 2] = 0.0f;
-            out[kLen - 1] = 0.0f;
-            if (over == 1)
-                std::memcpy(out, row + iw0, (kLen - 1) * sizeof(float));
-            else
-                std::memcpy(out, row + iw0, (kLen - 2) * sizeof(float));
-            return;
-        }
     }
     const auto in_w = static_cast<std::uint64_t>(im.in_w);
     for (std::int64_t i = 0; i < len; ++i) {
@@ -345,25 +352,11 @@ nextTap(const ConvWindow &g, std::int64_t plane, ConvTap &t)
     }
 }
 
-/** The common length of runs[0, count), or 0 when they differ or
- *  there are none. */
-inline std::int64_t
-uniformLen(const ConvRun *runs, std::int64_t count)
-{
-    if (count == 0)
-        return 0;
-    for (std::int64_t i = 1; i < count; ++i)
-        if (runs[i].len != runs[0].len)
-            return 0;
-    return runs[0].len;
-}
-
 /**
  * Gather taps (t, then nextTap) along @p runs for @p taps pack rows:
  * row r's run i lands at dst + r * kRowStride + runs[i].d * kStride.
- * @p kLen > 0 promises every run has that length.
  */
-template <std::int64_t kStride, std::int64_t kRowStride, std::int64_t kLen>
+template <std::int64_t kStride, std::int64_t kRowStride>
 void
 gatherTaps(const ConvWindow &g, ConvImage im, const ConvRun *runs,
            std::int64_t count, ConvTap t, std::int64_t taps, float *dst)
@@ -371,126 +364,245 @@ gatherTaps(const ConvWindow &g, ConvImage im, const ConvRun *runs,
     const std::int64_t plane = g.in_h * g.in_w;
     for (std::int64_t r = 0; r < taps; ++r, nextTap(g, plane, t))
         for (std::int64_t i = 0; i < count; ++i)
-            gatherRun<kStride, kLen>(im, runs[i].image + t.plane,
-                                     runs[i].ih + t.kh, runs[i].iw + t.kw,
-                                     runs[i].len,
-                                     dst + r * kRowStride +
-                                         runs[i].d * kStride);
+            gatherRun<kStride>(im, runs[i].image + t.plane,
+                               runs[i].ih + t.kh, runs[i].iw + t.kw,
+                               runs[i].len,
+                               dst + r * kRowStride + runs[i].d * kStride);
+}
+
+/** Largest kernel side a window read in place may have. */
+constexpr std::int64_t kMaxInPlaceKernel = 16;
+
+/**
+ * True when window @p g can be read in place: at stride 1 with out_w ==
+ * in_w, output positions q..q+15 of one image read, at every tap (c,
+ * kh, kw), the 16 consecutive floats from c * in_h * in_w + q + (kh -
+ * pad_h) * in_w + (kw - pad_w) on, where the window does not hang over
+ * the padding. Every conv in vgg16 and inception, resnet's stride-1
+ * convs and the dX phases of most convs (strided ones too) qualify.
+ */
+bool
+readsInPlace(const ConvWindow &g)
+{
+    return g.stride_h == 1 && g.stride_w == 1 && g.out_w == g.in_w &&
+           g.kernel_h <= kMaxInPlaceKernel &&
+           g.kernel_w <= kMaxInPlaceKernel &&
+           g.channels * g.in_h * g.in_w <= INT32_MAX / 2;
 }
 
 /**
- * gatherTaps() with the run length made a compile-time constant for the
- * lengths square power-of-two images produce (whole output rows of 16,
- * 8 or 4 positions).
+ * Lane masks of output positions [pos, pos + lanes) of one image of a
+ * window read in place: bit t of rows[kh] is set where position pos + t
+ * at kernel row kh reads a row inside the image, bit t of cols[kw]
+ * likewise for kernel column kw. Lanes >= @p lanes stay clear.
  */
-template <std::int64_t kStride, std::int64_t kRowStride>
 void
-gatherTapsAnyLen(const ConvWindow &g, ConvImage im, const ConvRun *runs,
-                 std::int64_t count, ConvTap t, std::int64_t taps,
-                 float *dst)
+laneMasks(const ConvWindow &g, std::int64_t pos, std::int64_t lanes,
+          std::uint16_t *rows, std::uint16_t *cols)
 {
-    switch (uniformLen(runs, count)) {
-    case 16:
-        return gatherTaps<kStride, kRowStride, 16>(g, im, runs, count, t,
-                                                   taps, dst);
-    case 8:
-        return gatherTaps<kStride, kRowStride, 8>(g, im, runs, count, t,
-                                                  taps, dst);
-    case 4:
-        return gatherTaps<kStride, kRowStride, 4>(g, im, runs, count, t,
-                                                  taps, dst);
-    default:
-        return gatherTaps<kStride, kRowStride, 0>(g, im, runs, count, t,
-                                                  taps, dst);
+    std::fill(rows, rows + g.kernel_h, std::uint16_t{ 0 });
+    std::fill(cols, cols + g.kernel_w, std::uint16_t{ 0 });
+    std::int64_t ih = pos / g.out_w - g.pad_h;
+    std::int64_t iw = pos % g.out_w - g.pad_w;
+    for (std::int64_t t = 0; t < lanes; ++t) {
+        const auto bit = static_cast<std::uint16_t>(1u << t);
+        for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
+            if (static_cast<std::uint64_t>(ih + kh) <
+                static_cast<std::uint64_t>(g.in_h))
+                rows[kh] |= bit;
+        for (std::int64_t kw = 0; kw < g.kernel_w; ++kw)
+            if (static_cast<std::uint64_t>(iw + kw) <
+                static_cast<std::uint64_t>(g.in_w))
+                cols[kw] |= bit;
+        if (++iw == g.out_w - g.pad_w) {
+            iw = -g.pad_w;
+            ++ih;
+        }
     }
 }
 
+/** Offset of tap @p t's first float from its strip's first position,
+ *  for a window read in place. */
+inline std::int32_t
+tapOffset(const ConvWindow &g, const ConvTap &t)
+{
+    return static_cast<std::int32_t>(t.plane + (t.kh - g.pad_h) * g.in_w +
+                                     t.kw - g.pad_w);
+}
+
 /**
- * Conv op(B) = col(X) for a batch, packed straight from the images:
- * B(r, j) is tap r = (c, kh, kw) of window @c g at output position j,
- * where the column space gives each image p_pad = p rounded up to
- * kGemmNR columns, so a strip never straddles two images (see ImageC).
- * Forward reads X through the conv's window, dX reads dY through each
- * phase's.
+ * Conv op(B) = col(X) for a batch: B(r, j) is tap r = (c, kh, kw) of
+ * window @c g at output position j, where the column space gives each
+ * image p_pad = p rounded up to kGemmNR columns, so a strip never
+ * straddles two images (see ImageC). Forward reads X through the conv's
+ * window, dX reads dY through each phase's.
+ *
+ * A window that readsInPlace() is not packed: row r of the strip at
+ * position q is x + q + off[r] under the lane mask of its tap, tap[r] =
+ * kh * kernel_w + kw. The per-row table (off, tap) is built once per
+ * GEMM call; per strip only the kernel_h * kernel_w tap masks are, into
+ * the worker's scratch. Any other window is gathered into a packed
+ * strip.
  */
 struct ConvB
 {
     ConvWindow g;
     const float *x;
-    std::int64_t p, p_pad;
+    std::int64_t p, p_pad, k;
+    const std::int32_t *off = nullptr; ///< set when read in place
+    const std::uint8_t *tap = nullptr;
 
+    /** Build the in-place row table in @p scope when the window reads in
+     *  place. */
     void
-    operator()(std::int64_t pc, std::int64_t kc, std::int64_t j0,
-               std::int64_t nr, float *dst) const
+    prepare(ArenaScope &scope)
     {
+        if (!readsInPlace(g))
+            return;
+        auto *o = scope.alloc<std::int32_t>(static_cast<size_t>(k));
+        auto *t = scope.alloc<std::uint8_t>(static_cast<size_t>(k));
+        const std::int64_t taps = g.kernel_h * g.kernel_w;
+        ConvTap ct = convTap(g, 0);
+        for (std::int64_t r = 0; r < k; ++r, nextTap(g, g.in_h * g.in_w, ct)) {
+            o[r] = tapOffset(g, ct);
+            t[r] = static_cast<std::uint8_t>(r % taps);
+        }
+        off = o;
+        tap = t;
+    }
+
+    std::int64_t
+    scratchFloats(std::int64_t k_gemm) const
+    {
+        // In place: one uint16 mask per tap.
+        return off ? (g.kernel_h * g.kernel_w + 1) / 2
+                   : packedScratch(k_gemm);
+    }
+
+    simd::BRows
+    operator()(std::int64_t pc, std::int64_t kc, std::int64_t j0,
+               std::int64_t nr, float *scratch) const
+    {
+        const std::int64_t image = j0 / p_pad;
+        const std::int64_t pos = j0 % p_pad;
+        if (off) {
+            std::uint16_t rows[kMaxInPlaceKernel], cols[kMaxInPlaceKernel];
+            laneMasks(g, pos, nr, rows, cols);
+            auto *mask = static_cast<std::uint16_t *>(
+                static_cast<void *>(scratch));
+            for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
+                for (std::int64_t kw = 0; kw < g.kernel_w; ++kw)
+                    mask[kh * g.kernel_w + kw] = rows[kh] & cols[kw];
+            return { x + image * g.channels * g.in_h * g.in_w + pos,
+                     off + pc, tap + pc, mask };
+        }
         ConvRun runs[kGemmNR];
-        const std::int64_t count =
-            convRuns(g, j0 / p_pad * p + j0 % p_pad, nr, p, runs);
+        const std::int64_t count = convRuns(g, image * p + pos, nr, p, runs);
         // Rows pc.. of the strip: taps (c, kh, kw) walked incrementally.
-        gatherTapsAnyLen<1, kGemmNR>(g, { x, g.in_h, g.in_w, g.stride_w },
-                                     runs, count, convTap(g, pc), kc, dst);
-        if (nr < kGemmNR)
-            for (std::int64_t r = 0; r < kc; ++r)
-                std::fill(dst + r * kGemmNR + nr, dst + (r + 1) * kGemmNR,
-                          0.0f);
+        gatherTaps<1, kGemmNR>(g, { x, g.in_h, g.in_w, g.stride_w }, runs,
+                               count, convTap(g, pc), kc, scratch);
+        return packedRows(scratch, nr);
     }
 };
 
 /**
  * Conv weight-gradient op(B) = col(X)^T for a batch: B(q, r) is tap
  * r = (c, kh, kw) at position q = (image, output position). slice()
- * splits the KC positions of the slice into output-row runs once; a
- * strip then gathers each of its 16 taps along every run.
+ * looks at the KC positions of the slice once, in groups of kGemmNR. In
+ * a window that readsInPlace(), a group of 16 positions of one image is
+ * packed by simd::SimdOps::packTransposed: each of the strip's 16 taps
+ * is one masked row of 16 positions, and the transposed block is the
+ * group's 16 strip rows. The other groups, and every group of another
+ * window, gather each of the strip's taps along the group's output-row
+ * runs (the whole slice's runs when no group is read in place).
  */
 struct ConvBT
 {
+    static constexpr std::int64_t kGroups = kKC / kGemmNR;
+
+    ConvBT(const ConvWindow &window, const float *image, std::int64_t per)
+        : g(window), x(image), p(per), in_place(readsInPlace(g))
+    {
+    }
+
     ConvWindow g;
     const float *x;
     std::int64_t p;
+    bool in_place;
     ConvRun runs[kKC];
     std::int64_t count = 0;
+    /** Per group of the slice: its first position's offset into x, or
+     *  -1 when it is gathered; its lane masks when it is not. */
+    std::int64_t group_at[kGroups];
+    std::uint16_t rows[kGroups][kMaxInPlaceKernel];
+    std::uint16_t cols[kGroups][kMaxInPlaceKernel];
+    bool any_in_place = false;
 
     void
     slice(std::int64_t pc, std::int64_t kc)
     {
-        count = convRuns(g, pc, kc, p, runs);
+        any_in_place = false;
+        for (std::int64_t i = 0; i * kGemmNR < kc; ++i) {
+            const std::int64_t q = pc + i * kGemmNR;
+            const std::int64_t pos = q % p;
+            group_at[i] = -1;
+            if (in_place && kc - i * kGemmNR >= kGemmNR &&
+                pos + kGemmNR <= p) {
+                group_at[i] = q / p * g.channels * g.in_h * g.in_w + pos;
+                laneMasks(g, pos, kGemmNR, rows[i], cols[i]);
+                any_in_place = true;
+            }
+        }
+        if (!any_in_place)
+            count = convRuns(g, pc, kc, p, runs);
     }
 
-    void
-    operator()(std::int64_t, std::int64_t kc, std::int64_t j0,
+    simd::BRows
+    operator()(std::int64_t pc, std::int64_t kc, std::int64_t j0,
                std::int64_t nr, float *dst) const
     {
-        if (nr < kGemmNR)
-            std::fill(dst, dst + kc * kGemmNR, 0.0f);
-        // Tap j of the strip fills column j: one value per position.
-        gatherTapsAnyLen<kGemmNR, 1>(g, { x, g.in_h, g.in_w, g.stride_w },
-                                     runs, count, convTap(g, j0), nr, dst);
+        const ConvImage im{ x, g.in_h, g.in_w, g.stride_w };
+        if (!any_in_place) {
+            // Tap j of the strip fills column j: one value per position.
+            gatherTaps<kGemmNR, 1>(g, im, runs, count, convTap(g, j0), nr,
+                                   dst);
+            return packedRows(dst, nr);
+        }
+        // The strip's taps: their offsets and kernel rows and columns.
+        std::int32_t off[kGemmNR] = {};
+        std::int64_t kh[kGemmNR], kw[kGemmNR];
+        ConvTap t = convTap(g, j0);
+        for (std::int64_t j = 0; j < nr; ++j, nextTap(g, g.in_h * g.in_w, t)) {
+            off[j] = tapOffset(g, t);
+            kh[j] = t.kh;
+            kw[j] = t.kw;
+        }
+        static constexpr auto kLane = [] {
+            std::array<std::uint8_t, kGemmNR> lane{};
+            for (std::int64_t j = 0; j < kGemmNR; ++j)
+                lane[j] = static_cast<std::uint8_t>(j);
+            return lane;
+        }();
+        const auto transpose = simd::ops().packTransposed;
+        for (std::int64_t i = 0; i * kGemmNR < kc; ++i) {
+            float *group = dst + i * kGemmNR * kGemmNR;
+            if (group_at[i] >= 0) {
+                std::uint16_t mask[kGemmNR] = {};
+                for (std::int64_t j = 0; j < nr; ++j)
+                    mask[j] = rows[i][kh[j]] & cols[i][kw[j]];
+                transpose({ x + group_at[i], off, kLane.data(), mask }, group);
+                continue;
+            }
+            ConvRun group_runs[kGemmNR];
+            const std::int64_t n = std::min(kGemmNR, kc - i * kGemmNR);
+            const std::int64_t group_count =
+                convRuns(g, pc + i * kGemmNR, n, p, group_runs);
+            gatherTaps<kGemmNR, 1>(g, im, group_runs, group_count,
+                                   convTap(g, j0), nr, group);
+        }
+        return packedRows(dst, nr);
     }
 };
-
-/**
- * One axis of sub-pixel phase r (0 <= r < stride) of a strided conv's
- * dX: the dX indices r, r + stride, ... (@c size of them) and the
- * kernel taps that reach them, first, first + stride, ... (@c taps of
- * them: those congruent to r + pad). dX index r + stride * u reads dY
- * index u + shift - t through tap first + stride * t. Stride 1 has one
- * phase holding every index and every tap.
- */
-struct PhaseAxis
-{
-    std::int64_t first, taps, shift, size;
-};
-
-PhaseAxis
-phaseAxis(std::int64_t r, std::int64_t stride, std::int64_t pad,
-          std::int64_t kernel, std::int64_t in)
-{
-    const std::int64_t first = (r + pad) % stride;
-    return { first,
-             first < kernel ? (kernel - first + stride - 1) / stride : 0,
-             (r + pad - first) / stride,
-             r < in ? (in - r + stride - 1) / stride : 0 };
-}
 
 /**
  * Conv dX op(A) of one phase, read in place from the weights W (out_c x
@@ -636,7 +748,9 @@ packedGemm(std::int64_t m, std::int64_t n, std::int64_t k,
     const std::int64_t a_floats =
         std::min(kMC, (m + kGemmMR - 1) / kGemmMR * kGemmMR) *
         std::min(kKC, k);
-    const std::int64_t b_floats = std::min(kKC, k) * kGemmNR;
+    std::int64_t b_floats = packedScratch(k);
+    if constexpr (requires { pack_b.scratchFloats(k); })
+        b_floats = pack_b.scratchFloats(k);
     // A destination that is not a row-major block takes a bounce tile.
     constexpr bool kBounce = requires(float *tile) {
         c_dst.bounce(std::int64_t{}, std::int64_t{}, std::int64_t{},
@@ -645,8 +759,8 @@ packedGemm(std::int64_t m, std::int64_t n, std::int64_t k,
     const std::int64_t c_floats = kBounce ? kMC * kGemmNR : 0;
     const auto block = simd::ops().gemmBlock;
     // KC slice pc of C tile t: pack the tile's A block once as MR-row
-    // panels, then per NR-column strip pack B and run the block kernel
-    // down every panel.
+    // panels, then per NR-column strip take B's rows (packed or in
+    // place) and run the block kernel down every panel.
     auto tileSlice = [&](std::int64_t t, std::int64_t pc, float *a_buf,
                          float *b_buf, float *c_buf) {
         const std::int64_t kc = std::min(kKC, k - pc);
@@ -661,14 +775,14 @@ packedGemm(std::int64_t m, std::int64_t n, std::int64_t k,
         for (std::int64_t jr = 0; jr < nc; jr += kGemmNR) {
             const std::int64_t j = jc + jr;
             const std::int64_t nr = c_dst.width(j, std::min(kGemmNR, nc - jr));
-            pack_b(pc, kc, j, nr, b_buf);
+            const simd::BRows rows = pack_b(pc, kc, j, nr, b_buf);
             if constexpr (kBounce) {
                 if (accumulate)
                     c_dst.bounce(ic, mc, j, nr, c_buf, true);
-                block(kc, a_buf, mc, b_buf, c_buf, kGemmNR, nr, accumulate);
+                block(kc, a_buf, mc, rows, c_buf, kGemmNR, nr, accumulate);
                 c_dst.bounce(ic, mc, j, nr, c_buf, false);
             } else {
-                block(kc, a_buf, mc, b_buf, c_dst.at(ic, j), c_dst.ld(), nr,
+                block(kc, a_buf, mc, rows, c_dst.at(ic, j), c_dst.ld(), nr,
                       accumulate);
             }
         }
@@ -783,7 +897,9 @@ gemmConv(const ConvGeometry &g, std::int64_t batch, std::int64_t out_c,
     if (batch == 0 || out_c == 0)
         return;
     const std::int64_t p_pad = (p + kGemmNR - 1) / kGemmNR * kGemmNR;
-    ConvB pack_b{ windowOf(g), x, p, p_pad };
+    ArenaScope scope;
+    ConvB pack_b{ windowOf(g), x, p, p_pad, k };
+    pack_b.prepare(scope);
     packedGemm(out_c, batch * p_pad, k, false,
                DenseA{ w, false, out_c, k, 1.0f }, pack_b,
                ImageC{ y, out_c, p, p_pad });
@@ -803,7 +919,7 @@ gemmConvDw(const ConvGeometry &g, std::int64_t batch, std::int64_t out_c,
                 "bad conv gemm dims");
     if (batch == 0 || out_c == 0)
         return;
-    ConvBT pack_b{ windowOf(g), x, p, {} };
+    ConvBT pack_b(windowOf(g), x, p);
     packedGemm(out_c, k, batch * p, true, ImageA{ dy, out_c, p }, pack_b,
                DenseC{ dw, k });
 }
@@ -814,11 +930,6 @@ gemmConvDx(const ConvGeometry &g, std::int64_t batch, std::int64_t out_c,
 {
     const std::int64_t out_h = g.outH();
     const std::int64_t out_w = g.outW();
-    GIST_TRACE_SCOPE_F("compute", "gemm conv-dx %lldx%lldx%lld",
-                       static_cast<long long>(g.in_c),
-                       static_cast<long long>(batch * g.in_h * g.in_w),
-                       static_cast<long long>(out_c * g.kernel_h *
-                                              g.kernel_w));
     GIST_ASSERT(batch >= 0 && out_c >= 0 && g.colRows() > 0 && out_h > 0 &&
                     out_w > 0,
                 "bad conv gemm dims");
@@ -836,13 +947,19 @@ gemmConvDx(const ConvGeometry &g, std::int64_t batch, std::int64_t out_c,
             // (a 1x1 stride-2 conv's odd rows and columns).
             if (p == 0 || k == 0)
                 continue;
+            GIST_TRACE_SCOPE_F("compute", "gemm conv-dx %lldx%lldx%lld",
+                               static_cast<long long>(g.in_c),
+                               static_cast<long long>(batch * p),
+                               static_cast<long long>(k));
             const std::int64_t p_pad = (p + kGemmNR - 1) / kGemmNR * kGemmNR;
             // Phase tap (oc, a, b) at grid position (u, v) reads dY[oc]
             // at (u - (ph.taps - 1 - ph.shift) + a, likewise in w).
+            ArenaScope scope;
             ConvB pack_b{ { out_c, out_h, out_w, ph.taps, pw.taps, 1, 1,
                             ph.taps - 1 - ph.shift, pw.taps - 1 - pw.shift,
                             ph.size, pw.size },
-                          dy, p, p_pad };
+                          dy, p, p_pad, k };
+            pack_b.prepare(scope);
             const ConvDxA pack_a{ w, g, ph, pw };
             if (g.stride_h == 1 && g.stride_w == 1)
                 packedGemm(g.in_c, batch * p_pad, k, true, pack_a, pack_b,

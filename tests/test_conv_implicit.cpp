@@ -9,7 +9,9 @@
  * per-image im2col + gemm lowering bit for bit; dX must equal a direct
  * convolution loop nest in gemmConvDx's documented sum order, rounded
  * as the backend's GEMM kernel rounds. Both hold at every geometry,
- * batch size, stash encoding, SIMD backend and thread count.
+ * batch size, stash encoding, SIMD backend and thread count, and with
+ * the operands between NaN guard bands (a stride-1 window with out_w ==
+ * in_w reads its B rows in place under lane masks).
  */
 
 #include <gtest/gtest.h>
@@ -77,8 +79,8 @@ cases()
         { 3, 9, 8, 9, spec(9, 5, 3, 2, 1, 2, 1) },    // non-square
         { 5, 3, 3, 4, spec(4, 3, 3, 1, 1, 0, 0) },    // p = 1
         { 4, 8, 8, 16, spec(16, 3, 3, 1, 1, 1, 1) },  // p = 64
-        // Output rows of 16, 8 and 4 positions take the fixed-length
-        // pack paths, with windows hanging 1 or 2 over the padding.
+        // Output rows of 16, 8 and 4 positions, read in place, with
+        // windows hanging 1 or 2 over the padding.
         { 2, 12, 16, 6, spec(6, 5, 5, 1, 1, 2, 2) },
         { 3, 8, 8, 7, spec(7, 5, 5, 1, 1, 2, 2) },
         { 3, 4, 4, 5, spec(5, 3, 3, 1, 1, 1, 1) },
@@ -91,6 +93,11 @@ cases()
         { 4, 7, 6, 5, spec(5, 3, 3, 2, 1, 1, 1) },
         { 3, 5, 11, 6, spec(6, 3, 5, 1, 2, 1, 2) },
         { 2, 11, 10, 4, spec(4, 2, 2, 3, 3, 0, 0) },
+        // Read in place with a tall kernel: pads (3, 1) hang 3 rows
+        // over the top and bottom edges.
+        { 3, 9, 10, 7, spec(7, 7, 3, 1, 1, 3, 1) },
+        // out_w == in_w but out_h != in_h: still read in place.
+        { 2, 12, 20, 6, spec(6, 3, 5, 1, 1, 0, 2) },
     };
     return c;
 }
@@ -413,6 +420,81 @@ TEST_F(ConvImplicit, OneAndFourThreadsAreBitwiseIdentical)
             expectSame(f.reference(f.xValues()), f.run({}),
                        "4 threads vs reference " + big.name() + " batch " +
                            std::to_string(batch));
+        }
+    }
+}
+
+TEST_F(ConvImplicit, MaskedLanesNeverReadPastTheOperands)
+{
+    // A window read in place loads 16 floats per tap straight from X (or
+    // dY), and masks off the lanes that hang over the padding or past
+    // the image. Here X, dY and W sit between NaN guard bands, so a
+    // masked lane that let a neighbouring value through would show as a
+    // NaN or a changed bit in Y, dX or dW.
+    const Case guarded[] = {
+        { 3, 7, 9, 5, spec(5, 3, 3, 1, 1, 1, 1) },
+        { 2, 12, 16, 6, spec(6, 5, 5, 1, 1, 2, 2) },
+        { 3, 4, 4, 5, spec(5, 3, 3, 1, 1, 1, 1) },
+        { 3, 9, 10, 7, spec(7, 7, 3, 1, 1, 3, 1) },
+        { 2, 12, 20, 6, spec(6, 3, 5, 1, 1, 0, 2) },
+        { 3, 11, 10, 8, spec(8, 3, 3, 2, 2, 1, 1) }, // dX phases in place
+    };
+    constexpr std::int64_t kGuard = 1024;
+    const float nan = std::nanf("");
+    const auto guard = [&](const float *v, std::int64_t n) {
+        std::vector<float> g(static_cast<size_t>(n + 2 * kGuard), nan);
+        std::copy(v, v + n, g.begin() + kGuard);
+        return g;
+    };
+    for (int be = 0; be < simd::kNumBackends; ++be) {
+        const auto backend = static_cast<simd::Backend>(be);
+        if (!simd::backendAvailable(backend))
+            continue;
+        simd::setBackend(backend);
+        for (const int threads : { 1, 4 }) {
+            setNumThreads(threads);
+            for (const Case &c : guarded)
+                for (const std::int64_t batch : { 1, 7 }) {
+                    Fixture f(c, batch, 400 + static_cast<std::uint64_t>(batch));
+                    const std::string what =
+                        std::string(simd::backendName(backend)) + " " +
+                        std::to_string(threads) + " threads " + c.name() +
+                        " batch " + std::to_string(batch);
+                    const Result want = f.reference(f.xValues());
+                    const std::int64_t k = f.g.colRows();
+                    const std::int64_t p = f.g.colCols();
+                    const Tensor &w = *f.conv.params()[0];
+                    const auto gx = guard(f.x.data(), f.x.numel());
+                    const auto gdy = guard(f.dy.data(), f.dy.numel());
+                    const auto gw = guard(w.data(), w.numel());
+
+                    // Forward without bias: the lowering image by image.
+                    std::vector<float> col(static_cast<size_t>(k * p));
+                    std::vector<float> want_y(
+                        static_cast<size_t>(batch * c.out_c * p));
+                    for (std::int64_t img = 0; img < batch; ++img) {
+                        im2col(f.g, f.x.data() + img * c.in_c * c.in_h * c.in_w,
+                               col.data());
+                        gemm(false, false, c.out_c, p, k, 1.0f, w.data(),
+                             col.data(), 0.0f,
+                             want_y.data() + img * c.out_c * p);
+                    }
+                    std::vector<float> y(want_y.size());
+                    gemmConv(f.g, batch, c.out_c, gw.data() + kGuard,
+                             gx.data() + kGuard, y.data());
+                    expectBitwise(want_y, y, what + " y");
+
+                    std::vector<float> dx(f.dx0.data(),
+                                          f.dx0.data() + f.dx0.numel());
+                    gemmConvDx(f.g, batch, c.out_c, gw.data() + kGuard,
+                               gdy.data() + kGuard, dx.data());
+                    expectBitwise(want.dx, dx, what + " dx");
+
+                    std::vector<float> dw(want.dw.size(), 0.0f);
+                    gemmConvDw(f.g, batch, c.out_c, gdy.data() + kGuard,
+                               gx.data() + kGuard, dw.data());
+                    expectBitwise(want.dw, dw, what + " dW");
+                }
         }
     }
 }

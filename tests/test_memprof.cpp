@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "models/builder.hpp"
 #include "obs/memprof.hpp"
 #include "obs/profreport.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace gist {
@@ -180,8 +182,59 @@ TEST(PlannerCost, CollectsScheduleShapesAndPricesThem)
         EXPECT_GT(ks.calls, 0u);
     }
     EXPECT_TRUE(has_gemm);
-    EXPECT_TRUE(has_im2col);
+    EXPECT_FALSE(has_im2col) << "no step runs im2col";
     EXPECT_TRUE(has_codec) << "lossy schedule emitted no codec kernels";
+}
+
+TEST(PlannerCost, GemmRowsAreTheGemmsAStepRuns)
+{
+    // A stride-1 conv on the network input (no dX), a stride-2 conv
+    // (four dX phases) whose encoded input backward reads in decode
+    // tiles of 2 images, and an FC layer: the gemm rows must be the
+    // GEMMs one traced step runs, shape for shape and call for call.
+    NetBuilder net(10, 3, 8, 8);
+    net.conv(6, 3, 1, 1, "conv1");
+    net.relu("relu1");
+    net.conv(5, 3, 2, 1, "conv2");
+    net.relu("relu2");
+    net.fc(4, "fc");
+    net.loss(4);
+    Graph g = net.take();
+    Rng rng(2);
+    g.initParams(rng);
+    GistConfig cfg = GistConfig::lossy(DprFormat::Fp16);
+    cfg.elide_decode_buffer = true;
+    const BuiltSchedule schedule = buildSchedule(g, cfg);
+    std::map<std::string, std::uint64_t> want;
+    for (const KernelShape &ks : collectKernelShapes(g, schedule))
+        if (ks.kernel == "gemm")
+            want[ks.shape] += ks.calls;
+
+    Executor exec(g);
+    applyToExecutor(schedule, exec);
+    exec.setAsyncCodec(false, 1);
+    Rng drng(3);
+    const std::vector<std::int32_t> labels = { 0, 1, 2, 3, 0,
+                                               1, 2, 3, 0, 1 };
+    obs::traceStart(""); // memory-only
+    exec.runMinibatch(Tensor::uniform(g.node(0).out_shape, drng, 0.0f, 1.0f),
+                      labels);
+    obs::traceStop();
+    const auto events = obs::traceCollect();
+    obs::traceReset();
+    std::map<std::string, std::uint64_t> got;
+    for (const auto &e : events) {
+        if (e.cat != "compute" || e.name.rfind("gemm ", 0) != 0)
+            continue;
+        long long m = 0, n = 0, k = 0;
+        ASSERT_EQ(3, std::sscanf(e.name.c_str() + e.name.rfind(' ') + 1,
+                                 "%lldx%lldx%lld", &m, &n, &k))
+            << e.name;
+        ++got["m=" + std::to_string(m) + ",n=" + std::to_string(n) +
+              ",k=" + std::to_string(k)];
+    }
+    EXPECT_EQ(want, got);
+    EXPECT_EQ(want["m=5,n=54,k=32"], 5u) << "conv2 dW in 2-image tiles";
 }
 
 TEST(ProfReport, RendersSectionsFromArtifacts)
@@ -193,7 +246,13 @@ TEST(ProfReport, RendersSectionsFromArtifacts)
              {"ph":"X","cat":"fwd","name":"fwd conv1","ts":0,
               "dur":1000,"tid":0},
              {"ph":"X","cat":"stall","name":"stall decode conv1",
-              "ts":1000,"dur":500,"tid":0}]})",
+              "ts":1000,"dur":500,"tid":0},
+             {"ph":"X","cat":"compute","name":"gemm conv-dw 10x100x50",
+              "ts":1500,"dur":2,"tid":0},
+             {"ph":"X","cat":"compute","name":"gemm 100x100x100",
+              "ts":1510,"dur":20,"tid":0},
+             {"ph":"X","cat":"compute","name":"gemm 100x100x100",
+              "ts":1540,"dur":20,"tid":0}]})",
         trace, &err))
         << err;
     std::vector<JsonValue> metrics(1);
@@ -222,6 +281,16 @@ TEST(ProfReport, RendersSectionsFromArtifacts)
     EXPECT_NE(report.find("stall"), std::string::npos);
     EXPECT_NE(report.find("peak memory attribution"), std::string::npos);
     EXPECT_NE(report.find("conv1"), std::string::npos);
+    // GFLOP/s per GEMM kind, from the m x n x k in the span names.
+    EXPECT_NE(report.find("GEMM throughput by kind"), std::string::npos);
+    EXPECT_NE(report.find("  conv-dw           1      0.002      0.000"
+                          "     50.00\n"),
+              std::string::npos)
+        << report;
+    EXPECT_NE(report.find("  gemm              2      0.040      0.004"
+                          "    100.00\n"),
+              std::string::npos)
+        << report;
 
     // All-null inputs still render (sections are skipped with notes).
     const std::string empty =

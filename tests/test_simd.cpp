@@ -10,7 +10,8 @@
  * with odd tails. The float kernels (axpy, the GEMM block kernel) fuse
  * on avx2/avx512 and round apart on scalar, so across those they
  * get a tolerance check against a double-precision reference; avx512's
- * block kernel must equal avx2's bit for bit. The GIST_SIMD env
+ * block kernel must equal avx2's bit for bit. The transposing pack moves
+ * bytes, so it is bitwise-equal everywhere. The GIST_SIMD env
  * plumbing is exercised via initFromEnv().
  */
 
@@ -465,6 +466,28 @@ TEST_F(SimdEquivalence, AxpyCloseToScalarReference)
     }
 }
 
+/** The block kernel's B stream over a dense kc x kGemmNR strip, every
+ *  lane read (lanes past a window's nr are read but never stored). */
+struct DenseStrip
+{
+    std::vector<std::int32_t> off;
+    std::vector<std::uint8_t> tap;
+    std::uint16_t mask = 0xffff;
+
+    explicit DenseStrip(std::int64_t kc)
+        : off(static_cast<size_t>(kc)), tap(static_cast<size_t>(kc), 0)
+    {
+        for (std::int64_t p = 0; p < kc; ++p)
+            off[static_cast<size_t>(p)] =
+                static_cast<std::int32_t>(p * kGemmNR);
+    }
+
+    BRows rows(const float *b) const
+    {
+        return { b, off.data(), tap.data(), &mask };
+    }
+};
+
 /** An A block of @p mc rows packed as ceil(mc / kGemmMR) panels, exactly
  *  that long, taken from @p full (kGemmMR-row panels over @p kc) with
  *  rows >= mc of the last panel set to @p pad. */
@@ -508,12 +531,13 @@ TEST_F(SimdEquivalence, GemmMicroMatchesDoubleReferenceAtEdgeTiles)
             v = rng.normal();
         for (auto &v : c0)
             v = rng.normal();
+        const DenseStrip strip(kc);
         for (bool accumulate : { false, true })
             for (Backend be : availableBackends()) {
                 const SimdOps &o = opsFor(be);
                 std::vector<float> full(c0);
-                o.gemmBlock(kc, a.data(), kMaxM, b.data(), full.data() + kAt,
-                            kLdc, kGemmNR, accumulate);
+                o.gemmBlock(kc, a.data(), kMaxM, strip.rows(b.data()),
+                            full.data() + kAt, kLdc, kGemmNR, accumulate);
                 for (std::int64_t i = 0; i < kMaxM; ++i)
                     for (std::int64_t j = 0; j < kGemmNR; ++j) {
                         const auto at = static_cast<size_t>(kAt + i * kLdc + j);
@@ -548,7 +572,7 @@ TEST_F(SimdEquivalence, GemmMicroMatchesDoubleReferenceAtEdgeTiles)
                                 // Without accumulate C must not be read.
                                 c[at] = accumulate ? c0[at] : kNan;
                             }
-                        o.gemmBlock(kc, ap.data(), mc, bp.data(),
+                        o.gemmBlock(kc, ap.data(), mc, strip.rows(bp.data()),
                                     c.data() + kAt, kLdc, nr, accumulate);
                         for (std::int64_t r = 0; r < kCRows; ++r)
                             for (std::int64_t q = 0; q < kLdc; ++q) {
@@ -598,20 +622,68 @@ TEST_F(SimdEquivalence, GemmBlockAvx512IsBitwiseAvx2)
             v = rng.normal();
         for (auto &v : c0)
             v = rng.normal();
+        const DenseStrip strip(kc);
         for (std::int64_t mc = 1; mc <= 48; ++mc) {
             const std::vector<float> ap = packedRows(a, kc, mc, 0.0f);
             for (std::int64_t nr = 1; nr <= kGemmNR; ++nr)
                 for (bool accumulate : { false, true }) {
                     std::vector<float> want(c0), got(c0);
-                    avx2.gemmBlock(kc, ap.data(), mc, b.data(), want.data(),
-                                   kGemmNR, nr, accumulate);
-                    avx512.gemmBlock(kc, ap.data(), mc, b.data(), got.data(),
-                                     kGemmNR, nr, accumulate);
+                    avx2.gemmBlock(kc, ap.data(), mc, strip.rows(b.data()),
+                                   want.data(), kGemmNR, nr, accumulate);
+                    avx512.gemmBlock(kc, ap.data(), mc, strip.rows(b.data()),
+                                     got.data(), kGemmNR, nr, accumulate);
                     ASSERT_TRUE(sameBytes(want.data(), got.data(),
                                           want.size() * sizeof(float)))
                         << "kc " << kc << " mc " << mc << " nr " << nr
                         << " accumulate " << accumulate;
                 }
+        }
+    }
+}
+
+TEST_F(SimdEquivalence, PackTransposedMovesBytesAndZeroesMaskedLanes)
+{
+    // 16 rows at scattered offsets of one buffer, with masks from empty
+    // to full: every backend must write dst[t * 16 + j] = lane t of row
+    // j where its mask bit is set, and +0 where it is clear, even though
+    // every masked-off float in the buffer is a NaN.
+    constexpr std::int64_t kBuf = 1024;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    Rng rng(608);
+    for (int trial = 0; trial < 20; ++trial) {
+        std::vector<float> buf(static_cast<size_t>(kBuf), nan);
+        std::int32_t off[kGemmNR];
+        std::uint8_t tap[kGemmNR];
+        std::uint16_t mask[kGemmNR];
+        std::vector<float> want(static_cast<size_t>(kGemmNR * kGemmNR));
+        for (std::int64_t j = 0; j < kGemmNR; ++j) {
+            off[j] = static_cast<std::int32_t>(
+                64 + rng.uniform() * (kBuf - 128));
+            // Rows repeat a mask through the tap index, as conv rows do.
+            tap[j] = static_cast<std::uint8_t>(j % 5);
+        }
+        mask[0] = 0;
+        mask[1] = 0xffff;
+        for (std::int64_t t = 2; t < kGemmNR; ++t)
+            mask[t] = static_cast<std::uint16_t>(rng.uniform() * 65536.0);
+        for (std::int64_t j = 0; j < kGemmNR; ++j)
+            for (std::int64_t t = 0; t < kGemmNR; ++t)
+                if (mask[tap[j]] >> t & 1u)
+                    buf[static_cast<size_t>(off[j] + t)] =
+                        static_cast<float>(j * 100 + t) + 0.5f;
+        for (std::int64_t j = 0; j < kGemmNR; ++j)
+            for (std::int64_t t = 0; t < kGemmNR; ++t)
+                want[static_cast<size_t>(t * kGemmNR + j)] =
+                    mask[tap[j]] >> t & 1u
+                        ? buf[static_cast<size_t>(off[j] + t)]
+                        : 0.0f;
+        for (Backend be : availableBackends()) {
+            const SimdOps &o = opsFor(be);
+            std::vector<float> got(want.size(), -1.0f);
+            o.packTransposed({ buf.data(), off, tap, mask }, got.data());
+            ASSERT_TRUE(
+                sameBytes(want.data(), got.data(), want.size() * sizeof(float)))
+                << o.name << " trial " << trial;
         }
     }
 }
