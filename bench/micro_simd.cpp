@@ -279,14 +279,8 @@ main(int argc, char **argv)
         std::vector<float> c0(src.begin(), src.begin() + mc * kGemmNR);
         const size_t c_bytes = c0.size() * sizeof(float);
         const double flops = 2.0 * calls * kc * mc * kGemmNR;
-        // The B stream of a packed strip: row p at b + p * kGemmNR.
-        std::vector<std::int32_t> off(static_cast<size_t>(kc));
-        for (std::int64_t p = 0; p < kc; ++p)
-            off[static_cast<size_t>(p)] =
-                static_cast<std::int32_t>(p * kGemmNR);
-        const std::vector<std::uint8_t> tap(static_cast<size_t>(kc), 0);
-        const std::uint16_t mask = 0xffff;
-        const BRows rows{ b.data(), off.data(), tap.data(), &mask };
+        // The B stream of a full packed strip: row p at b + p * kGemmNR.
+        const BRows rows{ b.data(), nullptr, nullptr, nullptr };
         const auto gemm_run = [&](const SimdOps &o, void *out) {
             auto *c = static_cast<float *>(out);
             std::memcpy(c, c0.data(), c_bytes);

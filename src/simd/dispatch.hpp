@@ -77,15 +77,18 @@ struct PoolScan
  * bit j of mask[tap[p]] is set and read as +0 where it is clear. A
  * cleared lane is never loaded, so it may lie outside every buffer.
  *
- * A packed strip is the stream off[p] = p * kGemmNR with one mask, the
- * strip's columns. A conv window read in place (tensor/gemm.cpp) points
- * each row into the image itself, and its per-tap masks zero the lanes
- * that hang over the padding.
+ * A full packed strip leaves off null: row p is the kGemmNR floats at
+ * base + p * kGemmNR, every lane kept (tap and mask unread), so the
+ * kernel walks it with no table loads. A partial one is the stream
+ * off[p] = p * kGemmNR with one mask, the strip's columns. A conv
+ * window read in place (tensor/gemm.cpp) points each row into the image
+ * itself, and its per-tap masks zero the lanes that hang over the
+ * padding.
  */
 struct BRows
 {
     const float *base;
-    const std::int32_t *off;
+    const std::int32_t *off; ///< null: a full packed strip
     const std::uint8_t *tap;
     const std::uint16_t *mask;
 };

@@ -631,6 +631,10 @@ struct RowHalves
 inline RowHalves
 loadRow(const BRows &b, std::int64_t p)
 {
+    if (b.off == nullptr) {
+        const float *row = b.base + p * kGemmNR;
+        return { _mm256_loadu_ps(row), _mm256_loadu_ps(row + 8) };
+    }
     const unsigned mask = b.mask[b.tap[p]];
     const float *row = b.base + b.off[p];
     if (__builtin_expect(mask == 0xffffu, 1))

@@ -8,8 +8,10 @@
  * A zmm register holds a whole 16-column strip row, so the block kernel
  * keeps three 6-row panels (18 rows) of C in 18 accumulators and pays
  * one B row load (masked when the row is partial) per 18
- * broadcast-FMAs, against two per 6 on avx2. Edges are lane masks on the C loads and stores (columns >= nr)
- * and skipped rows (rows >= mc), with no bounce tile. Each C element is
+ * broadcast-FMAs, against two per 6 on avx2. A full packed strip is
+ * walked by pointer; only a table stream reads a row offset and mask
+ * per row. Edges are lane masks on the C loads and stores (columns >=
+ * nr) and skipped rows (rows >= mc), with no bounce tile. Each C element is
  * still one FMA chain over p ascending from C or +0, exactly as in
  * avx2's 6 x 16 tile, so the two tiers are bitwise-equal.
  */
@@ -23,21 +25,50 @@
 namespace gist::simd {
 namespace {
 
-/**
- * Row @p p of @p b. A full row takes a plain load: a masked load costs
- * an extra uop on an FMA port, about an eighth of the block kernel's
- * speed, and packed strips and the interior rows of a conv window are
- * full.
- */
-inline __m512
-loadRow(const BRows &b, std::int64_t p)
+/** Rows of a full packed strip (BRows::off null), read one after the
+ *  other: row p is the 16 floats at base + 16p, one plain load with no
+ *  table to read. */
+struct StripRows
 {
-    const unsigned mask = b.mask[b.tap[p]];
-    const float *row = b.base + b.off[p];
-    if (__builtin_expect(mask == 0xffffu, 1))
-        return _mm512_loadu_ps(row);
-    return _mm512_maskz_loadu_ps(static_cast<__mmask16>(mask), row);
-}
+    const float *row;
+
+    __m512
+    next()
+    {
+        const __m512 v = _mm512_loadu_ps(row);
+        row += kGemmNR;
+        return v;
+    }
+};
+
+/**
+ * Rows of any other BRows stream, read one after the other. A full row
+ * takes a plain load: a masked load costs an extra uop on an FMA port,
+ * about an eighth of the block kernel's speed, and the interior rows of
+ * a conv window are full.
+ */
+struct TableRows
+{
+    const float *base;
+    const std::int32_t *off;
+    const std::uint8_t *tap;
+    const std::uint16_t *mask;
+
+    explicit TableRows(const BRows &b)
+        : base(b.base), off(b.off), tap(b.tap), mask(b.mask)
+    {
+    }
+
+    __m512
+    next()
+    {
+        const unsigned m = mask[*tap++];
+        const float *row = base + *off++;
+        if (__builtin_expect(m == 0xffffu, 1))
+            return _mm512_loadu_ps(row);
+        return _mm512_maskz_loadu_ps(static_cast<__mmask16>(m), row);
+    }
+};
 
 /**
  * kPanels stacked 6-row panels against one strip: rows [0, rows) of
@@ -45,10 +76,10 @@ loadRow(const BRows &b, std::int64_t p)
  * column mask @p cols; the rest are computed from the zero pad rows of
  * the A pack and dropped.
  */
-template <int kPanels>
+template <int kPanels, typename Rows>
 inline void
 gemmPanelsAvx512(std::int64_t kc, const float *a, std::int64_t rows,
-                 const BRows &b, float *c, std::int64_t ldc,
+                 Rows b, float *c, std::int64_t ldc,
                  __mmask16 cols, bool accumulate)
 {
     constexpr int kMR = static_cast<int>(kGemmMR);
@@ -64,8 +95,8 @@ gemmPanelsAvx512(std::int64_t kc, const float *a, std::int64_t rows,
         acc[i] = accumulate && i < rows
                      ? _mm512_maskz_loadu_ps(cols, c + i * ldc)
                      : _mm512_setzero_ps();
-    for (std::int64_t p = 0; p < kc; ++p) {
-        const __m512 bv = loadRow(b, p);
+    for (std::int64_t p = kc; p > 0; --p) {
+        const __m512 bv = b.next();
 #pragma GCC unroll 18
         for (int i = 0; i < kRows; ++i)
             acc[i] = _mm512_fmadd_ps(_mm512_set1_ps(ap[i / kMR][i % kMR]),
@@ -81,12 +112,12 @@ gemmPanelsAvx512(std::int64_t kc, const float *a, std::int64_t rows,
 
 /** Three panels per pass while more than two remain, then two or one:
  *  m = 16 is one pass, m = 48 three. */
+template <typename Rows>
 void
-gemmBlockAvx512(std::int64_t kc, const float *a, std::int64_t mc,
-                const BRows &b, float *c, std::int64_t ldc, std::int64_t nr,
-                bool accumulate)
+gemmPanelsAllAvx512(std::int64_t kc, const float *a, std::int64_t mc,
+                    Rows b, float *c, std::int64_t ldc, __mmask16 cols,
+                    bool accumulate)
 {
-    const auto cols = static_cast<__mmask16>((1u << nr) - 1u);
     std::int64_t i = 0;
     for (; mc - i > 2 * kGemmMR; i += 3 * kGemmMR)
         gemmPanelsAvx512<3>(kc, a + i * kc, mc - i, b, c + i * ldc, ldc,
@@ -97,6 +128,20 @@ gemmBlockAvx512(std::int64_t kc, const float *a, std::int64_t mc,
     else if (mc > i)
         gemmPanelsAvx512<1>(kc, a + i * kc, mc - i, b, c + i * ldc, ldc,
                             cols, accumulate);
+}
+
+void
+gemmBlockAvx512(std::int64_t kc, const float *a, std::int64_t mc,
+                const BRows &b, float *c, std::int64_t ldc, std::int64_t nr,
+                bool accumulate)
+{
+    const auto cols = static_cast<__mmask16>((1u << nr) - 1u);
+    if (b.off == nullptr)
+        gemmPanelsAllAvx512(kc, a, mc, StripRows{ b.base }, c, ldc, cols,
+                            accumulate);
+    else
+        gemmPanelsAllAvx512(kc, a, mc, TableRows{ b }, c, ldc, cols,
+                            accumulate);
 }
 
 /**
@@ -112,10 +157,11 @@ gemmBlockAvx512(std::int64_t kc, const float *a, std::int64_t mc,
 void
 packTransposedAvx512(const BRows &rows, float *dst)
 {
+    TableRows load(rows);
     __m512 r[16], t[16];
 #pragma GCC unroll 16
     for (int j = 0; j < 16; ++j)
-        r[j] = loadRow(rows, j);
+        r[j] = load.next();
 #pragma GCC unroll 8
     for (int j = 0; j < 16; j += 2) {
         t[j] = _mm512_unpacklo_ps(r[j], r[j + 1]);

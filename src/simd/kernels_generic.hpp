@@ -197,53 +197,47 @@ axpy(std::int64_t n, float a, const float *x, float *y)
         y[j] += a * x[j];
 }
 
-/** Row @p p of @p b into out[0, kGemmNR): its masked lanes as +0, never
- *  loaded. */
-inline void
-loadRow(const BRows &b, std::int64_t p, float *out)
+/** Row @p p of @p b: a full row where it lies, a partial one copied
+ *  into @p tmp with its masked lanes as +0, never loaded. */
+inline const float *
+loadRow(const BRows &b, std::int64_t p, float *tmp)
 {
+    if (b.off == nullptr)
+        return b.base + p * kGemmNR;
     const float *row = b.base + b.off[p];
     const unsigned mask = b.mask[b.tap[p]];
+    if (mask == 0xffffu)
+        return row;
     for (std::int64_t j = 0; j < kGemmNR; ++j)
-        out[j] = mask >> j & 1u ? row[j] : 0.0f;
+        tmp[j] = mask >> j & 1u ? row[j] : 0.0f;
+    return tmp;
 }
 
 /** SimdOps::gemmBlock one C row at a time: a kGemmNR-float accumulator
  *  fits in registers where a whole MR x NR tile would spill, at the
- *  price of re-reading the L1-resident B strip per row. B is first
- *  copied into a local strip of up to kChunk rows; a longer B runs in
- *  chunks that carry each chain through C (a float stored and reloaded
- *  is exact). */
+ *  price of re-reading the L1-resident B strip per row. */
 inline void
 gemmBlock(std::int64_t kc, const float *a, std::int64_t mc, const BRows &b,
           float *c, std::int64_t ldc, std::int64_t nr, bool accumulate)
 {
-    constexpr std::int64_t kChunk = 128;
-    float strip[kChunk * kGemmNR];
-    for (std::int64_t p0 = 0; p0 == 0 || p0 < kc; p0 += kChunk) {
-        const std::int64_t rows = kc - p0 < kChunk ? kc - p0 : kChunk;
-        for (std::int64_t p = 0; p < rows; ++p)
-            loadRow(b, p0 + p, strip + p * kGemmNR);
-        const bool from_c = accumulate || p0 > 0;
-        for (std::int64_t r = 0; r < mc; ++r) {
-            // Row r is row i of panel r / kGemmMR.
-            const float *panel =
-                a + r / kGemmMR * kc * kGemmMR + p0 * kGemmMR;
-            const std::int64_t i = r % kGemmMR;
-            float acc[kGemmNR] = {};
-            float *c_row = c + r * ldc;
-            if (from_c)
-                for (std::int64_t j = 0; j < nr; ++j)
-                    acc[j] = c_row[j];
-            for (std::int64_t p = 0; p < rows; ++p) {
-                const float av = panel[p * kGemmMR + i];
-                const float *b_row = strip + p * kGemmNR;
-                for (std::int64_t j = 0; j < kGemmNR; ++j)
-                    acc[j] += av * b_row[j];
-            }
+    for (std::int64_t r = 0; r < mc; ++r) {
+        // Row r is row i of panel r / kGemmMR.
+        const float *panel = a + r / kGemmMR * kc * kGemmMR;
+        const std::int64_t i = r % kGemmMR;
+        float acc[kGemmNR] = {};
+        float *c_row = c + r * ldc;
+        if (accumulate)
             for (std::int64_t j = 0; j < nr; ++j)
-                c_row[j] = acc[j];
+                acc[j] = c_row[j];
+        for (std::int64_t p = 0; p < kc; ++p) {
+            const float av = panel[p * kGemmMR + i];
+            float tmp[kGemmNR];
+            const float *b_row = loadRow(b, p, tmp);
+            for (std::int64_t j = 0; j < kGemmNR; ++j)
+                acc[j] += av * b_row[j];
         }
+        for (std::int64_t j = 0; j < nr; ++j)
+            c_row[j] = acc[j];
     }
 }
 
@@ -251,9 +245,9 @@ gemmBlock(std::int64_t kc, const float *a, std::int64_t mc, const BRows &b,
 inline void
 packTransposed(const BRows &rows, float *dst)
 {
-    float row[kGemmNR];
     for (std::int64_t j = 0; j < kGemmNR; ++j) {
-        loadRow(rows, j, row);
+        float tmp[kGemmNR];
+        const float *row = loadRow(rows, j, tmp);
         for (std::int64_t t = 0; t < kGemmNR; ++t)
             dst[t * kGemmNR + j] = row[t];
     }

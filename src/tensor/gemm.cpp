@@ -39,8 +39,9 @@ static_assert(kGemmPackScratchBytes ==
 // its convs at small batches).
 constexpr std::int64_t kMinParallelMacs = std::int64_t{ 1 } << 21;
 
-/** Row offsets of a packed strip (row p at p * kGemmNR), the one tap
- *  index all its rows share, and the column mask of each strip width. */
+/** Row offsets of a partial packed strip (row p at p * kGemmNR), the
+ *  one tap index all its rows share, and the column mask of each strip
+ *  width. */
 constexpr auto kPackedOff = [] {
     std::array<std::int32_t, kKC> off{};
     for (std::int64_t p = 0; p < kKC; ++p)
@@ -67,6 +68,8 @@ packedScratch(std::int64_t k)
 simd::BRows
 packedRows(const float *strip, std::int64_t nr)
 {
+    if (nr == kGemmNR)
+        return { strip, nullptr, nullptr, nullptr };
     return { strip, kPackedOff.data(), kPackedTap.data(), &kColMask[nr] };
 }
 
@@ -512,62 +515,55 @@ struct ConvB
  * a window that readsInPlace(), a group of 16 positions of one image is
  * packed by simd::SimdOps::packTransposed: each of the strip's 16 taps
  * is one masked row of 16 positions, and the transposed block is the
- * group's 16 strip rows. The other groups, and every group of another
- * window, gather each of the strip's taps along the group's output-row
- * runs (the whole slice's runs when no group is read in place).
+ * group's 16 strip rows. Every other group gathers each of the strip's
+ * taps along its output-row runs.
  */
 struct ConvBT
 {
-    static constexpr std::int64_t kGroups = kKC / kGemmNR;
-
     ConvBT(const ConvWindow &window, const float *image, std::int64_t per)
         : g(window), x(image), p(per), in_place(readsInPlace(g))
     {
     }
 
+    /** One kGemmNR-position group of the slice: read in place from its
+     *  first position's offset into x under its lane masks, or gathered
+     *  along its runs. */
+    struct Group
+    {
+        std::int64_t at; ///< -1 when gathered
+        std::uint16_t rows[kMaxInPlaceKernel], cols[kMaxInPlaceKernel];
+        ConvRun runs[kGemmNR];
+        std::int64_t count;
+    };
+
     ConvWindow g;
     const float *x;
     std::int64_t p;
     bool in_place;
-    ConvRun runs[kKC];
-    std::int64_t count = 0;
-    /** Per group of the slice: its first position's offset into x, or
-     *  -1 when it is gathered; its lane masks when it is not. */
-    std::int64_t group_at[kGroups];
-    std::uint16_t rows[kGroups][kMaxInPlaceKernel];
-    std::uint16_t cols[kGroups][kMaxInPlaceKernel];
-    bool any_in_place = false;
+    Group groups[kKC / kGemmNR];
 
     void
     slice(std::int64_t pc, std::int64_t kc)
     {
-        any_in_place = false;
         for (std::int64_t i = 0; i * kGemmNR < kc; ++i) {
+            Group &grp = groups[i];
             const std::int64_t q = pc + i * kGemmNR;
             const std::int64_t pos = q % p;
-            group_at[i] = -1;
-            if (in_place && kc - i * kGemmNR >= kGemmNR &&
-                pos + kGemmNR <= p) {
-                group_at[i] = q / p * g.channels * g.in_h * g.in_w + pos;
-                laneMasks(g, pos, kGemmNR, rows[i], cols[i]);
-                any_in_place = true;
+            const std::int64_t n = std::min(kGemmNR, kc - i * kGemmNR);
+            if (in_place && n == kGemmNR && pos + kGemmNR <= p) {
+                grp.at = q / p * g.channels * g.in_h * g.in_w + pos;
+                laneMasks(g, pos, kGemmNR, grp.rows, grp.cols);
+            } else {
+                grp.at = -1;
+                grp.count = convRuns(g, q, n, p, grp.runs);
             }
         }
-        if (!any_in_place)
-            count = convRuns(g, pc, kc, p, runs);
     }
 
     simd::BRows
-    operator()(std::int64_t pc, std::int64_t kc, std::int64_t j0,
+    operator()(std::int64_t, std::int64_t kc, std::int64_t j0,
                std::int64_t nr, float *dst) const
     {
-        const ConvImage im{ x, g.in_h, g.in_w, g.stride_w };
-        if (!any_in_place) {
-            // Tap j of the strip fills column j: one value per position.
-            gatherTaps<kGemmNR, 1>(g, im, runs, count, convTap(g, j0), nr,
-                                   dst);
-            return packedRows(dst, nr);
-        }
         // The strip's taps: their offsets and kernel rows and columns.
         std::int32_t off[kGemmNR] = {};
         std::int64_t kh[kGemmNR], kw[kGemmNR];
@@ -583,22 +579,22 @@ struct ConvBT
                 lane[j] = static_cast<std::uint8_t>(j);
             return lane;
         }();
+        const ConvImage im{ x, g.in_h, g.in_w, g.stride_w };
         const auto transpose = simd::ops().packTransposed;
         for (std::int64_t i = 0; i * kGemmNR < kc; ++i) {
-            float *group = dst + i * kGemmNR * kGemmNR;
-            if (group_at[i] >= 0) {
-                std::uint16_t mask[kGemmNR] = {};
-                for (std::int64_t j = 0; j < nr; ++j)
-                    mask[j] = rows[i][kh[j]] & cols[i][kw[j]];
-                transpose({ x + group_at[i], off, kLane.data(), mask }, group);
+            const Group &grp = groups[i];
+            float *block = dst + i * kGemmNR * kGemmNR;
+            if (grp.at < 0) {
+                // Tap j of the strip fills column j: one value per
+                // position.
+                gatherTaps<kGemmNR, 1>(g, im, grp.runs, grp.count,
+                                       convTap(g, j0), nr, block);
                 continue;
             }
-            ConvRun group_runs[kGemmNR];
-            const std::int64_t n = std::min(kGemmNR, kc - i * kGemmNR);
-            const std::int64_t group_count =
-                convRuns(g, pc + i * kGemmNR, n, p, group_runs);
-            gatherTaps<kGemmNR, 1>(g, im, group_runs, group_count,
-                                   convTap(g, j0), nr, group);
+            std::uint16_t mask[kGemmNR] = {};
+            for (std::int64_t j = 0; j < nr; ++j)
+                mask[j] = grp.rows[kh[j]] & grp.cols[kw[j]];
+            transpose({ x + grp.at, off, kLane.data(), mask }, block);
         }
         return packedRows(dst, nr);
     }
